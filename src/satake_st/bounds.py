@@ -127,6 +127,8 @@ def rate_report(
         h = TestFunctionH.gaussian()
     rows = []
     for t in t_grid:
+        if t < 1:
+            raise ValueError(f"scale must be >= 1, got {t}")
         envelope = convergence_error(float(t), p_big, params.theta, params.eps)
         measured = None
         if family is not None:

@@ -96,6 +96,16 @@ class TensorSpec:
         """Exponent i'_k."""
         return self.exponents[2 * (k - 1) + 1]
 
+    def monomial(self, e: np.ndarray) -> np.ndarray:
+        """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e; unused columns are not read."""
+        out = np.ones(e.shape[:-1], dtype=np.complex128)
+        for k, (ik, ikp) in enumerate(zip(self.exponents[::2], self.exponents[1::2])):
+            if ik:
+                out = out * e[..., k] ** ik
+            if ikp:
+                out = out * np.conj(e[..., k]) ** ikp
+        return out
+
     def factor_weights(self) -> list[DominantWeight]:
         """Fundamental highest weights of the factors, with multiplicity."""
         out = []

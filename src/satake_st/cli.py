@@ -152,11 +152,11 @@ def sample(n, m, bins, out, fmt, seed, workers, budget):
     try:
         RunConfig(seed, workers, budget, out, fmt)
         bank = sample_bank(n, m, seed, workers)
+        values = np.real(np.sum(bank, axis=-1))
+        lo, hi = (-2.0, 2.0) if n == 2 else (float(values.min()), float(values.max()))
+        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     except ValueError as exc:
         _fail(exc)
-    values = np.real(np.sum(bank, axis=-1))
-    lo, hi = (-2.0, 2.0) if n == 2 else (float(values.min()), float(values.max()))
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     widths = np.diff(edges)
     rows = []
     for i in range(bins):

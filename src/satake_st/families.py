@@ -9,6 +9,7 @@ conjugacy-class integral.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import TensorSpec, trivial_multiplicity
-from .satake import SatakeParameter, canonicalize, coefficient, elementary_symmetric
+from .satake import SatakeParameter, canonicalize, canonicalize_batch, coefficient, elementary_symmetric
 from .sampling import RngSeed, perturb_radial, sample_st_batch
-from .weights import CoefficientIndex, SpectralParameter, laplace_eigenvalue
+from .weights import CoefficientIndex, SpectralParameter, laplace_eigenvalue, laplace_eigenvalues
 
 __all__ = [
     "TestFunctionH",
@@ -83,17 +84,20 @@ class TestFunctionH:
     def from_table(cls, xs, ys) -> "TestFunctionH":
         return cls("custom-table", tuple(float(x) for x in xs), tuple(float(y) for y in ys))
 
+    def evaluate(self, lam: np.ndarray, t: float) -> np.ndarray:
+        """The function at scale t >= 1 on an array of Re lambda(nu)."""
+        if t < 1:
+            raise ValueError(f"scale must be >= 1, got {t}")
+        if self.kind == "gaussian":
+            return np.exp(-lam / (t * t))
+        if self.kind == "indicator":
+            return np.where(lam <= t * t, 1.0, 0.0)
+        return np.interp(lam / (t * t), self.xs, self.ys)
+
 
 def h_eval(h: TestFunctionH, nu: SpectralParameter, t: float) -> float:
     """Evaluate the test function at scale t >= 1."""
-    if t < 1:
-        raise ValueError(f"scale must be >= 1, got {t}")
-    lam = laplace_eigenvalue(nu).real
-    if h.kind == "gaussian":
-        return math.exp(-lam / (t * t))
-    if h.kind == "indicator":
-        return 1.0 if lam <= t * t else 0.0
-    return float(np.interp(lam / (t * t), h.xs, h.ys))
+    return float(h.evaluate(laplace_eigenvalue(nu).real, t))
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ class FamilyMember:
     satake: dict | None = None  # prime -> SatakeParameter
 
     def __post_init__(self):
-        if not self.l1_adjoint > 0:
-            raise ValueError(f"adjoint L-value weight must be positive, got {self.l1_adjoint}")
+        if not (math.isfinite(self.l1_adjoint) and self.l1_adjoint > 0):
+            raise FamilyValidationError(
+                f"adjoint L-value weight must be finite and positive, got {self.l1_adjoint}"
+            )
         if self.coefficients is not None:
             zero = CoefficientIndex.zero(self.nu.n)
             c0 = self.coefficients.get(zero)
@@ -160,44 +166,34 @@ def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, flo
     return mean, se
 
 
-def _monomial_from_coefficients(member: FamilyMember, spec: TensorSpec) -> complex:
-    """Evaluate the monomial from stored coefficients (no Satake needed)."""
-    if member.coefficients is None:
-        raise FamilyValidationError("member has neither Satake data nor coefficients")
-    n = spec.n
-    out = 1.0 + 0.0j
-    for k in range(1, n):
-        ik, ikp = spec.plain(k), spec.conjugate(k)
-        if ik == 0 and ikp == 0:
-            continue
-        idx = CoefficientIndex.unit(n, n - k)  # A[k]: p in the (N-k)-th slot
-        a_k = member.coefficients.get(idx)
-        if a_k is None:
-            raise FamilyValidationError(f"member lacks coefficient {idx.l} for A[{k}]")
-        out *= a_k**ik * np.conj(a_k) ** ikp
-    return complex(out)
+def _weight_columns(family: Family, h: TestFunctionH, t_grid) -> list[np.ndarray]:
+    """The weight of every member, one array per scale in t_grid."""
+    lam = laplace_eigenvalues(family.n, [mem.nu.nu for mem in family.members]).real
+    l1 = np.array([mem.l1_adjoint for mem in family.members], dtype=float)
+    return [h.evaluate(lam, float(t)) / l1 for t in t_grid]
 
 
-def _member_values(
-    family: Family, p: int, f, require: bool = True
-) -> np.ndarray:
-    """Evaluate f (callable or TensorSpec monomial) on every member at p."""
-    vals = np.empty(len(family), dtype=np.complex128)
-    if isinstance(f, TensorSpec):
-        if f.n != family.n:
-            raise ValueError("spec rank does not match family rank")
-        for i, mem in enumerate(family.members):
-            if mem.satake is not None and p in mem.satake:
-                e = elementary_symmetric(mem.satake[p].as_array())
-                v = 1.0 + 0.0j
-                for k in range(1, f.n):
-                    v *= e[k - 1] ** f.plain(k) * np.conj(e[k - 1]) ** f.conjugate(k)
-                vals[i] = v
-            else:
-                vals[i] = _monomial_from_coefficients(mem, f)
-    else:
-        for i, mem in enumerate(family.members):
-            vals[i] = f(mem.satake_at(p))
+def _e_columns(family: Family, p: int) -> np.ndarray:
+    """(m, N-1) columns of e_k at p: from each member's Satake parameter at p,
+    else from its stored A[k] = e_k, with NaN for an A[k] it lacks."""
+    n = family.n
+    units = [CoefficientIndex.unit(n, n - k) for k in range(1, n)]  # A[k]: p in slot N-k
+    no_satake = (np.nan,) * n
+    alphas = [mem.satake[p].alphas if mem.satake and p in mem.satake else no_satake for mem in family.members]
+    e = elementary_symmetric(np.array(alphas, dtype=np.complex128).reshape(-1, n))
+    for i in np.flatnonzero(np.isnan(e[:, 0])):
+        e[i] = [(family.members[i].coefficients or {}).get(idx, np.nan) for idx in units]
+    return e
+
+
+def _spec_values(spec: TensorSpec, e: np.ndarray, p: int) -> np.ndarray:
+    """The spec's monomial on every row of e; NaN marks a member lacking an A[k] it uses."""
+    if spec.n != e.shape[1] + 1:
+        raise ValueError("spec rank does not match family rank")
+    vals = spec.monomial(e)
+    lacking = np.flatnonzero(np.isnan(vals))
+    if lacking.size:
+        raise FamilyValidationError(f"member {lacking[0]}: no Satake parameter at p={p} and a missing A[k]")
     return vals
 
 
@@ -208,12 +204,15 @@ def l_functional(
 
     f is either a callable on SatakeParameter or a TensorSpec, in which
     case members lacking a Satake parameter at p are evaluated through
-    their stored coefficient tables.
+    their stored A[k], and need one for every k with i_k or i'_k nonzero.
     """
     if len(family) == 0:
         raise FamilyValidationError("empty family")
-    weights = np.array([weight(mem, h, t) for mem in family.members])
-    vals = _member_values(family, p, f)
+    (weights,) = _weight_columns(family, h, [t])
+    if isinstance(f, TensorSpec):
+        vals = _spec_values(f, _e_columns(family, p), p)
+    else:
+        vals = np.array([f(mem.satake_at(p)) for mem in family.members], dtype=np.complex128)
     mean, _ = weighted_stat(vals, weights)
     return mean
 
@@ -233,6 +232,8 @@ def synth_family(
     parameters are purely imaginary on an integer grid; adjoint L-values
     are log-uniform in [0.1, 10].
     """
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
     if m < 1:
         raise ValueError("family size must be >= 1")
     if mode not in ("sato-tate", "t1-perturbed"):
@@ -240,20 +241,18 @@ def synth_family(
     rng = (seed if isinstance(seed, RngSeed) else RngSeed(int(seed))).generator()
 
     grid_side = max(2, math.ceil(m ** (1.0 / (n - 1))))
+    # member j sits at 1 + the base-grid_side digits of j, least significant first
+    nus = (1j * (1 + np.arange(m)[:, None] // grid_side ** np.arange(n - 1) % grid_side)).tolist()
     members = []
     banks = {p: sample_st_batch(n, m, rng) for p in primes}
     if mode == "t1-perturbed":
         banks = {p: perturb_radial(bank, p, rng) for p, bank in banks.items()}
+    banks = {p: canonicalize_batch(bank).tolist() for p, bank in banks.items()}
     l1 = 10.0 ** rng.uniform(-1.0, 1.0, size=m)
 
     for j in range(m):
-        coords = []
-        idx = j
-        for _ in range(n - 1):
-            coords.append(1 + idx % grid_side)
-            idx //= grid_side
-        nu = SpectralParameter(n, tuple(1j * c for c in coords))
-        satake = {p: canonicalize(banks[p][j], p_hint=p) for p in primes}
+        nu = SpectralParameter(n, nus[j])
+        satake = {p: SatakeParameter(n, banks[p][j], p_hint=p) for p in primes}
         members.append(FamilyMember(nu=nu, l1_adjoint=float(l1[j]), satake=satake))
     return Family(n=n, members=tuple(members), label=label or f"synthetic-{mode}")
 
@@ -281,15 +280,17 @@ def equidist_report(
     theta: float = 7.0 / 64.0,
     eps: float = 1e-6,
 ) -> list[EquidistRow]:
-    """Weighted statistic vs. exact moment for each spec and scale."""
+    """Weighted statistic vs. exact moment for each spec and scale; a member
+    without a Satake parameter at p needs a stored A[k] for every k some spec uses."""
     from .bounds import convergence_error
 
+    weight_columns = _weight_columns(family, h, t_grid)
+    e = _e_columns(family, p)
     rows = []
     for spec in specs:
         oracle = trivial_multiplicity(spec)
-        vals = _member_values(family, p, spec)
-        for t in t_grid:
-            weights = np.array([weight(mem, h, t) for mem in family.members])
+        vals = _spec_values(spec, e, p)
+        for t, weights in zip(t_grid, weight_columns):
             mean, se = weighted_stat(vals, weights)
             bound = None
             if family.n == 3:
@@ -307,7 +308,8 @@ def equidist_report(
 # --- family (de)serialization ------------------------------------------------
 
 _TOP_KEYS = {"N", "label", "members"}
-_MEMBER_KEYS = {"nu", "L1Ad", "coefficients", "satake"}
+# member fields and the JSON type each must have; L1Ad may be a number or a numeric string
+_MEMBER_KEYS = {"nu": list, "L1Ad": (int, float, str), "coefficients": dict, "satake": dict}
 
 
 def _is_prime(p: int) -> bool:
@@ -322,9 +324,11 @@ def _is_prime(p: int) -> bool:
 
 
 def _pair_to_complex(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise FamilyValidationError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    if isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair):
+        z = complex(float(pair[0]), float(pair[1]))
+        if cmath.isfinite(z):
+            return z
+    raise FamilyValidationError(f"expected a finite [re, im] pair, got {pair!r}")
 
 
 def family_from_dict(data: dict) -> Family:
@@ -339,43 +343,59 @@ def family_from_dict(data: dict) -> Family:
         raw_members = data["members"]
     except KeyError as exc:
         raise FamilyValidationError(f"missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FamilyValidationError(f"N must be an integer: {exc}") from exc
+    if n < 2 or not isinstance(raw_members, list):
+        raise FamilyValidationError("need N >= 2 and a JSON array of members")
     label = str(data.get("label", ""))
     members = []
     for pos, raw in enumerate(raw_members):
-        unknown = set(raw) - _MEMBER_KEYS
-        if unknown:
-            raise FamilyValidationError(
-                f"member {pos}: unknown fields {sorted(unknown)}"
-            )
         try:
-            nu = SpectralParameter(n, tuple(_pair_to_complex(v) for v in raw["nu"]))
-            l1 = float(raw["L1Ad"])
-        except KeyError as exc:
-            raise FamilyValidationError(f"member {pos}: missing field {exc}") from exc
-        coeffs = None
-        if "coefficients" in raw:
-            coeffs = {}
-            for key, pair in raw["coefficients"].items():
-                l = tuple(int(v) for v in key.split(","))
-                coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
-        satake = None
-        if "satake" in raw:
-            satake = {}
-            for key, vec in raw["satake"].items():
-                p = int(key)
-                if not _is_prime(p):
-                    raise FamilyValidationError(f"member {pos}: key {key!r} is not prime")
-                try:
-                    satake[p] = canonicalize([_pair_to_complex(v) for v in vec], p_hint=p)
-                except ValueError as exc:
-                    raise FamilyValidationError(f"member {pos}, p={p}: {exc}") from exc
-        member = FamilyMember(nu=nu, l1_adjoint=l1, coefficients=coeffs, satake=satake)
-        _check_member_coherence(member, pos)
-        members.append(member)
+            members.append(_member_from_dict(raw, n))
+        except ValueError as exc:  # FamilyValidationError included
+            raise FamilyValidationError(f"member {pos}: {exc}") from exc
     return Family(n=n, members=tuple(members), label=label)
 
 
-def _check_member_coherence(member: FamilyMember, pos: int) -> None:
+def _member_from_dict(raw, n: int) -> FamilyMember:
+    """One member of the family document; any malformed field raises ValueError."""
+    if not isinstance(raw, dict):
+        raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
+    unknown = set(raw) - set(_MEMBER_KEYS)
+    if unknown:
+        raise FamilyValidationError(f"unknown fields {sorted(unknown)}")
+    missing = sorted({"nu", "L1Ad"} - set(raw))
+    if missing:
+        raise FamilyValidationError(f"missing fields {missing}")
+    wrong = sorted(key for key, kind in _MEMBER_KEYS.items() if key in raw and not isinstance(raw[key], kind))
+    if wrong:
+        raise FamilyValidationError(f"wrong JSON type for {wrong}")
+    nu = SpectralParameter(n, tuple(_pair_to_complex(v) for v in raw["nu"]))
+    coeffs = None
+    if "coefficients" in raw:
+        coeffs = {}
+        for key, pair in raw["coefficients"].items():
+            l = tuple(int(v) for v in key.split(","))
+            coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
+    satake = None
+    if "satake" in raw:
+        satake = {}
+        for key, vec in raw["satake"].items():
+            p = int(key)
+            if not _is_prime(p):
+                raise FamilyValidationError(f"key {key!r} is not prime")
+            if not (isinstance(vec, list) and len(vec) == n):
+                raise FamilyValidationError(f"p={p}: expected a list of {n} pairs")
+            try:
+                satake[p] = canonicalize([_pair_to_complex(v) for v in vec], p_hint=p)
+            except ValueError as exc:
+                raise FamilyValidationError(f"p={p}: {exc}") from exc
+    member = FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
+    _check_member_coherence(member)
+    return member
+
+
+def _check_member_coherence(member: FamilyMember) -> None:
     """Coefficients must match the character values of every stored parameter."""
     if member.coefficients is None or member.satake is None:
         return
@@ -384,7 +404,7 @@ def _check_member_coherence(member: FamilyMember, pos: int) -> None:
             residual = abs(val - coefficient(x, idx))
             if residual > CS_COHERENCE_TOL:
                 raise FamilyValidationError(
-                    f"member {pos}: coefficient {idx.l} incoherent with the "
+                    f"coefficient {idx.l} incoherent with the "
                     f"parameter at p={p} (residual {residual:.3g})"
                 )
 

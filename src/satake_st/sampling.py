@@ -214,19 +214,7 @@ def mc_integrate(f, n: int, m: int, seed: int | RngSeed, workers: int = 1) -> Mc
 
 def char_monomial(spec: TensorSpec):
     """Vectorized integrand for prod_k chi_k^{i_k} * conj(chi_k)^{i'_k}."""
-
-    def f(alphas: np.ndarray) -> np.ndarray:
-        e = elementary_symmetric(alphas)
-        out = np.ones(alphas.shape[:-1], dtype=np.complex128)
-        for k in range(1, spec.n):
-            ik, ikp = spec.plain(k), spec.conjugate(k)
-            if ik:
-                out = out * e[..., k - 1] ** ik
-            if ikp:
-                out = out * np.conj(e[..., k - 1]) ** ikp
-        return out
-
-    return f
+    return lambda alphas: spec.monomial(elementary_symmetric(alphas))
 
 
 def st_density_gl2(x: float) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "b_matrix",
     "langlands",
     "laplace_eigenvalue",
+    "laplace_eigenvalues",
     "is_dominant",
 ]
 
@@ -193,11 +194,16 @@ def langlands(nu: SpectralParameter) -> np.ndarray:
     return mat.astype(np.complex128) @ np.asarray(nu.nu, dtype=np.complex128)
 
 
+def laplace_eigenvalues(n: int, nu_rows) -> np.ndarray:
+    """(N^3 - N)/24 - (1/2) sum ell_i^2 for each row of an (m, N-1) array of nu."""
+    nu = np.asarray(nu_rows, dtype=np.complex128).reshape(-1, n - 1)
+    ell = np.einsum("ij,kj->ik", nu, _langlands_matrix(n))  # no BLAS: a row's value is independent of m
+    return (n**3 - n) / 24 - 0.5 * np.sum(ell * ell, axis=-1)
+
+
 def laplace_eigenvalue(nu: SpectralParameter) -> complex:
-    """(N^3 - N)/24 - (1/2) sum ell_i^2."""
-    n = nu.n
-    ell = langlands(nu)
-    return complex((n**3 - n) / 24 - 0.5 * np.sum(ell * ell))
+    """Laplace eigenvalue of one spectral parameter; see laplace_eigenvalues."""
+    return complex(laplace_eigenvalues(nu.n, [nu.nu])[0])
 
 
 def is_dominant(w: WeightVector) -> bool:

@@ -199,3 +199,43 @@ class TestDeterminism:
         )
         assert result.exit_code == 0
         assert "2 1 0" in result.output
+
+
+NU3 = [[0.0, 1.0], [0.0, 1.0]]
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"N": 3, "members": [5]},
+            {"N": 3, "members": [{"nu": 5, "L1Ad": 1.0}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": "inf"}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": [[float("nan"), 0.0]] * 3}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": [[1.0, 0.0]] * 2}}]},
+        ],
+        ids=["member-not-object", "nu-not-array", "l1-infinite", "nan-entry", "short-satake"],
+    )
+    def test_ingest_rejects_malformed_member(self, runner, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "FamilyValidationError"
+        assert err["message"].startswith("member 0: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["equidist", "--n", "1", "--synth-size", "10"],
+            ["bound", "--rate", "--p", "2", "--t-grid", "10,0.5"],
+            ["sample", "--n", "2", "--m", "100", "--bins", "0"],
+        ],
+        ids=["rank-1-family", "scale-below-1", "zero-bins"],
+    )
+    def test_bad_flag_exits_2_with_error_object(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "message" in json.loads(result.stderr)["error"]

@@ -1,5 +1,6 @@
 """Family statistics, synthesis, and the ingestion contract."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from satake_st.families import (
     weight,
     weighted_stat,
 )
-from satake_st.satake import canonicalize, coefficient, in_T1
+from satake_st.satake import canonicalize, coefficient, elementary_symmetric, in_T1
 from satake_st.weights import CoefficientIndex, SpectralParameter, aleph
 
 
@@ -294,3 +295,88 @@ class TestSerialization:
         }
         with pytest.raises(FamilyValidationError):
             family_from_dict(doc)
+
+
+def reference_values(family, p, spec):
+    """The monomial member by member, Satake parameter first, else A[k]."""
+    n = spec.n
+    vals = []
+    for mem in family.members:
+        if mem.satake is not None and p in mem.satake:
+            e = elementary_symmetric(mem.satake[p].as_array())
+        else:
+            e = [mem.coefficients[CoefficientIndex.unit(n, n - k)] for k in range(1, n)]
+        v = 1.0 + 0.0j
+        for k in range(1, n):
+            v *= e[k - 1] ** spec.plain(k) * np.conj(e[k - 1]) ** spec.conjugate(k)
+        vals.append(v)
+    return np.array(vals)
+
+
+def reference_stat(family, p, spec, h, t):
+    weights = np.array([weight(mem, h, t) for mem in family.members])
+    return weighted_stat(reference_values(family, p, spec), weights)
+
+
+def mixed_family(m=90, seed=21):
+    """Thirds: Satake only, coefficients A[1], A[2] only, and both kinds."""
+    base = synth_family(3, m, mode="t1-perturbed", primes=(2,), seed=seed)
+    units = [CoefficientIndex.unit(3, pos) for pos in (1, 2)]
+    members = []
+    for j, mem in enumerate(base.members):
+        x = mem.satake[2]
+        coeffs = {idx: coefficient(x, idx) for idx in units}
+        kind = j % 3
+        members.append(
+            FamilyMember(
+                nu=mem.nu, l1_adjoint=mem.l1_adjoint,
+                coefficients=None if kind == 0 else coeffs,
+                satake=None if kind == 1 else {2: x},
+            )
+        )
+    return Family(3, tuple(members))
+
+
+H_KINDS = [
+    TestFunctionH.gaussian(),
+    TestFunctionH.indicator(),
+    TestFunctionH.from_table([0.0, 0.2, 1.0, 4.0], [1.0, 0.9, 0.3, 0.0]),
+]
+MIXED_SPECS = [
+    TensorSpec(3, exps)
+    for exps in itertools.product(range(3), repeat=4)
+    if sum(exps) <= 3
+]
+
+
+class TestColumnsMatchMemberLoop:
+    @pytest.mark.parametrize("h", H_KINDS, ids=lambda h: h.kind)
+    def test_equidist_report(self, h):
+        fam = mixed_family()
+        t_grid = [10.0, 25.0]
+        rows = equidist_report(fam, 2, MIXED_SPECS, h, t_grid)
+        assert len(rows) == len(MIXED_SPECS) * len(t_grid)
+        for row in rows:
+            mean, se = reference_stat(fam, 2, row.spec, h, row.t)
+            assert abs(row.estimate - mean) <= 1e-12 * max(abs(mean), 1.0)
+            assert row.std_error == pytest.approx(se, rel=1e-12)
+
+    @pytest.mark.parametrize("h", H_KINDS, ids=lambda h: h.kind)
+    def test_l_functional(self, h):
+        fam = mixed_family()
+        for spec in MIXED_SPECS:
+            mean, _ = reference_stat(fam, 2, spec, h, 25.0)
+            got = l_functional(fam, 2, spec, h, 25.0)
+            assert abs(got - mean) <= 1e-12 * max(abs(mean), 1.0)
+
+    def test_missing_coefficient_matters_only_when_used(self):
+        x = coherent_member(seed=22).satake[2]
+        a1 = CoefficientIndex(3, (0, 1))
+        only_a1 = FamilyMember(nu=NU0, l1_adjoint=1.0, coefficients={a1: coefficient(x, a1)})
+        fam = Family(3, (coherent_member(seed=23), only_a1))
+        h = TestFunctionH.gaussian()
+        l_functional(fam, 2, TensorSpec(3, (1, 1, 0, 0)), h, 5.0)
+        with pytest.raises(FamilyValidationError, match="member 1"):
+            l_functional(fam, 2, TensorSpec(3, (0, 0, 1, 0)), h, 5.0)
+        with pytest.raises(FamilyValidationError, match="member 1"):
+            equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 1))], h, [5.0])

@@ -17,6 +17,7 @@ from satake_st.weights import (
     is_dominant,
     langlands,
     laplace_eigenvalue,
+    laplace_eigenvalues,
 )
 
 
@@ -131,6 +132,23 @@ class TestLaplaceEigenvalue:
             lam = laplace_eigenvalue(SpectralParameter(n, nu))
             assert abs(lam.imag) < 1e-12
             assert lam.real >= floor - 1e-12
+
+
+class TestLaplaceRows:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_rows_equal_single_parameter_values(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(257, n - 1)) * 3 + 1j * rng.normal(size=(257, n - 1)) * 40
+        batch = laplace_eigenvalues(n, rows)
+        assert batch.shape == (257,)
+        for row, lam in zip(rows, batch):
+            nu = SpectralParameter(n, tuple(row))
+            assert laplace_eigenvalue(nu) == lam
+            ell = langlands(nu)
+            assert lam == pytest.approx((n**3 - n) / 24 - 0.5 * np.sum(ell * ell), rel=1e-13)
+
+    def test_no_rows(self):
+        assert laplace_eigenvalues(3, []).shape == (0,)
 
 
 class TestDominance:
