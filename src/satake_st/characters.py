@@ -1,15 +1,17 @@
 """Exact characters of SU(N) irreducibles.
 
 Weight multiplicities come from Freudenthal's recursion in integer
-arithmetic; tensor products are decomposed by highest-weight peeling
-against the exact product table; numeric character values use the
-Jacobi-Trudi determinant with complete homogeneous symmetric functions
-(finite at coincident eigenvalues, unlike the bialternant ratio).
+arithmetic; tensor products of fundamental modules are decomposed by the
+iterated Pieri rule on partitions, with no weight tables; numeric
+character values use the Jacobi-Trudi determinant with complete
+homogeneous symmetric functions (finite at coincident eigenvalues,
+unlike the bialternant ratio).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +31,6 @@ __all__ = [
     "tensor_decompose",
     "trivial_multiplicity",
     "eval_char",
-    "eval_char_bialternant",
     "dominant_part_sum",
     "specialization_bound_n3",
 ]
@@ -283,42 +284,42 @@ def tensor_decompose(
 ) -> dict[DominantWeight, int]:
     """Multiplicities a_mu in the tensor product encoded by spec.
 
-    Highest-weight peeling: repeatedly remove a_w copies of the irreducible
-    table at the dominance-maximal surviving weight w.
+    Iterated Pieri rule (Macdonald I.5.17): every factor is an exterior
+    power e_k, and s_lam * e_k is the sum of s_nu over the nu obtained by
+    adding a vertical k-strip to lam within N rows.  A full column is the
+    determinant, trivial on SU(N), so each nu is shifted to end in 0.
+    The budget bounds the candidate strips of one step,
+    len(current) * C(N, k).
     """
-    remaining = dict(spec_product_table(spec, budget).terms)
-    out: dict[DominantWeight, int] = {}
-    while remaining:
-        w = max(remaining, key=_height_key)
-        c = remaining[w]
-        # the maximal weight of a W-invariant table is dominant, and its
-        # coefficient is a genuine multiplicity
-        assert all(x >= y for x, y in zip(w, w[1:])), f"peeled non-dominant weight {w}"
-        assert c > 0, f"negative multiplicity {c} at {w}: peeling bug"
-        mu = DominantWeight(spec.n, w)
-        out[mu] = c
-        for wk, mk in weight_table(mu, budget).terms.items():
-            new = remaining.get(wk, 0) - c * mk
-            if new:
-                remaining[wk] = new
-            else:
-                remaining.pop(wk, None)
-    return out
+    n = spec.n
+    current = {(0,) * n: 1}
+    for w in spec.factor_weights():
+        k = w.size()
+        candidates = len(current) * math.comb(n, k)
+        if candidates > budget:
+            raise TermBudgetExceeded(
+                f"Pieri step with {candidates} candidate strips exceeds budget {budget}"
+            )
+        strips = [
+            tuple(1 if i in rows else 0 for i in range(n))
+            for rows in itertools.combinations(range(n), k)
+        ]
+        out: dict[tuple[int, ...], int] = {}
+        for lam, c in current.items():
+            for strip in strips:
+                nu = tuple(a + b for a, b in zip(lam, strip))
+                if all(x >= y for x, y in zip(nu, nu[1:])):
+                    if nu[-1]:
+                        nu = tuple(x - 1 for x in nu)
+                    out[nu] = out.get(nu, 0) + c
+        current = out
+    return {DominantWeight(n, lam): c for lam, c in current.items()}
 
 
 def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Multiplicity a_0 of the trivial module in the tensor product."""
     zero = DominantWeight.zero(spec.n)
     return tensor_decompose(spec, budget).get(zero, 0)
-
-
-def _as_alpha_array(alphas, n: int) -> np.ndarray:
-    arr = np.asarray(alphas, dtype=np.complex128)
-    if arr.shape[-1] != n:
-        raise ValueError(f"expected last axis of length {n}, got shape {arr.shape}")
-    if np.any(arr == 0):
-        raise ValueError("zero eigenvalue in character evaluation")
-    return arr
 
 
 def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
@@ -328,7 +329,11 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
     of shape (...).  Jacobi-Trudi determinant in the complete homogeneous
     basis, built from power sums via Newton's identities.
     """
-    arr = _as_alpha_array(alphas, mu.n)
+    arr = np.asarray(alphas, dtype=np.complex128)
+    if arr.shape[-1] != mu.n:
+        raise ValueError(f"expected last axis of length {mu.n}, got shape {arr.shape}")
+    if np.any(arr == 0):
+        raise ValueError("zero eigenvalue in character evaluation")
     lam = [p for p in mu.parts if p > 0]
     m = len(lam)
     if m == 0:
@@ -354,21 +359,6 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
             if idx >= 0:
                 mat[..., i, j] = h[idx]
     out = np.linalg.det(mat) if m > 1 else mat[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
-
-
-def eval_char_bialternant(mu: DominantWeight, alphas) -> complex | np.ndarray:
-    """Ratio-of-alternants evaluation; valid only for distinct eigenvalues.
-
-    Kept as an independent cross-check of :func:`eval_char`.
-    """
-    arr = _as_alpha_array(alphas, mu.n)
-    n = mu.n
-    exps_num = np.array([mu.parts[i] + n - 1 - i for i in range(n)])
-    exps_den = np.arange(n - 1, -1, -1)
-    num = np.linalg.det(arr[..., :, None] ** exps_num[None, :])
-    den = np.linalg.det(arr[..., :, None] ** exps_den[None, :])
-    out = num / den
     return complex(out) if out.ndim == 0 else out
 
 

@@ -85,7 +85,10 @@ def _common(fn):
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)(fn)
     fn = click.option("--seed", default=0, show_default=True, type=int)(fn)
     fn = click.option("--workers", default=1, show_default=True, type=int)(fn)
-    fn = click.option("--budget", default=characters.DEFAULT_TERM_BUDGET, show_default=True, type=int)(fn)
+    fn = click.option(
+        "--budget", default=characters.DEFAULT_TERM_BUDGET, show_default=True, type=int,
+        help="decompose/moment: most candidate strips one Pieri step may try (partitions x C(N,k)); >= 1000.",
+    )(fn)
     return fn
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,6 +324,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _decimal(text: str) -> int:
+    """The integer spelled by a key in canonical decimal form (no sign, space or leading 0)."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise FamilyValidationError(f"key part {text!r} is not a canonical decimal integer")
+    return int(text)
+
+
 def _pair_to_complex(pair) -> complex:
     if isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair):
         z = complex(float(pair[0]), float(pair[1]))
@@ -339,12 +347,12 @@ def family_from_dict(data: dict) -> Family:
     if unknown:
         raise FamilyValidationError(f"unknown top-level fields: {sorted(unknown)}")
     try:
-        n = int(data["N"])
+        n = data["N"]
         raw_members = data["members"]
     except KeyError as exc:
         raise FamilyValidationError(f"missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FamilyValidationError(f"N must be an integer: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise FamilyValidationError(f"N must be a JSON integer, got {n!r}")
     if n < 2 or not isinstance(raw_members, list):
         raise FamilyValidationError("need N >= 2 and a JSON array of members")
     label = str(data.get("label", ""))
@@ -375,13 +383,13 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
     if "coefficients" in raw:
         coeffs = {}
         for key, pair in raw["coefficients"].items():
-            l = tuple(int(v) for v in key.split(","))
+            l = tuple(_decimal(v) for v in key.split(","))
             coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
     satake = None
     if "satake" in raw:
         satake = {}
         for key, vec in raw["satake"].items():
-            p = int(key)
+            p = _decimal(key)
             if not _is_prime(p):
                 raise FamilyValidationError(f"key {key!r} is not prime")
             if not (isinstance(vec, list) and len(vec) == n):

@@ -23,7 +23,6 @@ __all__ = [
     "McEstimate",
     "sample_st",
     "sample_st_batch",
-    "sample_st_rejection",
     "sample_bank",
     "perturb_radial",
     "mc_integrate",
@@ -98,32 +97,6 @@ def sample_st(n: int, rng: np.random.Generator) -> SatakeParameter:
     """One draw from the conjugacy-class measure of SU(n)."""
     row = sample_st_batch(n, 1, rng)[0]
     return SatakeParameter(n, tuple(row))
-
-
-def sample_st_rejection(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Cross-check sampler for n <= 3: rejection against the Weyl density.
-
-    Eigenphase tuples are proposed uniformly on the determinant-1 torus and
-    accepted with probability proportional to the squared Vandermonde of
-    the eigenvalues.
-    """
-    if n not in (2, 3):
-        raise ValueError("rejection sampler implemented for n in {2, 3} only")
-    rows = []
-    have = 0
-    while have < count:
-        batch = max(count - have, 1) * 4
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(batch, n - 1))
-        eigs = np.exp(1j * np.concatenate([theta, -theta.sum(axis=1, keepdims=True)], axis=1))
-        vand = np.ones(batch)
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand *= np.abs(eigs[:, i] - eigs[:, j]) ** 2
-        cap = 4.0 if n == 2 else 27.0  # max of |Vandermonde|^2 on the torus
-        keep = rng.uniform(0.0, cap, size=batch) < vand
-        rows.append(eigs[keep])
-        have += int(keep.sum())
-    return canonicalize_batch(np.concatenate(rows, axis=0)[:count])
 
 
 def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,6 @@ from satake_st.characters import (
     dim,
     dominant_part_sum,
     eval_char,
-    eval_char_bialternant,
     product,
     specialization_bound_n3,
     tensor_decompose,
@@ -25,6 +24,8 @@ from satake_st.characters import (
     weight_table,
 )
 from satake_st.weights import DominantWeight
+
+from oracles import eval_char_bialternant
 
 
 def canon(v):

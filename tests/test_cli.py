@@ -202,6 +202,7 @@ class TestDeterminism:
 
 
 NU3 = [[0.0, 1.0], [0.0, 1.0]]
+ONE3 = [[1.0, 0.0]] * 3
 
 
 class TestFailureContract:
@@ -213,8 +214,14 @@ class TestFailureContract:
             {"N": 3, "members": [{"nu": NU3, "L1Ad": "inf"}]},
             {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": [[float("nan"), 0.0]] * 3}}]},
             {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": [[1.0, 0.0]] * 2}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": ONE3, "02": ONE3}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1,0": [1.0, 0.0], "01,0": [2.0, 0.0]}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1, 0": [1.0, 0.0]}}]},
         ],
-        ids=["member-not-object", "nu-not-array", "l1-infinite", "nan-entry", "short-satake"],
+        ids=[
+            "member-not-object", "nu-not-array", "l1-infinite", "nan-entry", "short-satake",
+            "satake-key-leading-zero", "coefficient-key-leading-zero", "coefficient-key-space",
+        ],
     )
     def test_ingest_rejects_malformed_member(self, runner, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -224,6 +231,16 @@ class TestFailureContract:
         err = json.loads(result.stderr)["error"]
         assert err["type"] == "FamilyValidationError"
         assert err["message"].startswith("member 0: ")
+
+    @pytest.mark.parametrize("rank", [3.7, True, "3", None], ids=["fractional", "boolean", "string", "null"])
+    def test_ingest_rejects_non_integer_rank(self, runner, tmp_path, rank):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"N": rank, "members": [{"nu": NU3, "L1Ad": 1.0}]}))
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "FamilyValidationError"
+        assert err["message"].startswith("N must be a JSON integer")
 
     @pytest.mark.parametrize(
         "args",

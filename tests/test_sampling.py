@@ -16,10 +16,11 @@ from satake_st.sampling import (
     sample_bank,
     sample_st,
     sample_st_batch,
-    sample_st_rejection,
     st_cdf_gl2,
     st_density_gl2,
 )
+
+from oracles import sample_st_rejection
 
 
 def ks_distance(values, cdf) -> float:
