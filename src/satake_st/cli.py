@@ -20,7 +20,7 @@ from . import characters, sampling
 from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bound
 from .characters import TensorSpec, TermBudgetExceeded, dim, tensor_decompose, trivial_multiplicity
 from .families import FamilyValidationError, TestFunctionH, equidist_report, load_family, synth_family
-from .sampling import RngSeed, char_monomial, mc_integrate, sample_bank, st_density_gl2
+from .sampling import RngSeed, char_monomial, mc_integrate, sample_bank, st_density_gl2, varrho_bank
 from .satake import canonicalize_batch, hecke_residuals_n3
 
 HECKE_TOL = 1e-10
@@ -154,8 +154,7 @@ def sample(n, m, bins, out, fmt, seed, workers, budget):
     """Histogram of Re(chi_1) under the class measure (semicircle for N=2)."""
     try:
         RunConfig(seed, workers, budget, out, fmt)
-        bank = sample_bank(n, m, seed, workers)
-        values = np.real(np.sum(bank, axis=-1))
+        values = np.real(varrho_bank(n, m, seed, workers)[:, 0])
         lo, hi = (-2.0, 2.0) if n == 2 else (float(values.min()), float(values.max()))
         counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     except ValueError as exc:
@@ -282,6 +281,8 @@ def hecke(n, m, p_text, tol, out, fmt, seed, workers, budget):
         RunConfig(seed, workers, budget, out, fmt)
         if n != 3:
             raise ValueError(f"identity check requires N=3, got N={n}")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
         bank = sample_bank(n, m, seed, workers)
         rows = [
             {

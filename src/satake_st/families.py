@@ -309,7 +309,8 @@ def equidist_report(
 # --- family (de)serialization ------------------------------------------------
 
 _TOP_KEYS = {"N", "label", "members"}
-# member fields and the JSON type each must have; L1Ad may be a number or a numeric string
+# member fields and the JSON type each must have; L1Ad may be a number or a numeric string.
+# A JSON true/false is a Python bool, hence an int, and is rejected separately.
 _MEMBER_KEYS = {"nu": list, "L1Ad": (int, float, str), "coefficients": dict, "satake": dict}
 
 
@@ -332,7 +333,8 @@ def _decimal(text: str) -> int:
 
 
 def _pair_to_complex(pair) -> complex:
-    if isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (int, float)) for v in pair):
+    numbers = isinstance(pair, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+    if numbers and len(pair) == 2:
         z = complex(float(pair[0]), float(pair[1]))
         if cmath.isfinite(z):
             return z
@@ -375,7 +377,8 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
     missing = sorted({"nu", "L1Ad"} - set(raw))
     if missing:
         raise FamilyValidationError(f"missing fields {missing}")
-    wrong = sorted(key for key, kind in _MEMBER_KEYS.items() if key in raw and not isinstance(raw[key], kind))
+    wrong = sorted(key for key, kind in _MEMBER_KEYS.items()
+                   if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)))
     if wrong:
         raise FamilyValidationError(f"wrong JSON type for {wrong}")
     nu = SpectralParameter(n, tuple(_pair_to_complex(v) for v in raw["nu"]))

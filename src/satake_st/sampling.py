@@ -1,10 +1,14 @@
 """Sampling from the pushforward of Haar measure on SU(N) to conjugacy classes.
 
-The sampler is exact: a complex Ginibre matrix orthonormalized by QR with
-the R-diagonal phase correction is Haar on U(N); dividing by a uniformly
-random N-th root of the determinant lands Haar on SU(N).  Streams are
-split deterministically so estimates are reproducible for a fixed
-(seed, sample count, worker count).
+The sampler is exact and builds no matrix: Killip-Nenciu's independent
+Verblunsky coefficients give the characteristic polynomial of a Haar U(N)
+matrix, and a uniformly random N-th root of its determinant moves it to
+SU(N).  A draw is the row (e_1, ..., e_{N-1}) of its coefficients, the
+paper's varrho coordinates, in which class functions are polynomials;
+``mc_integrate`` integrates these rows and never forms eigenvalues, which
+``sample_st_batch`` and ``sample_bank`` take as the polynomial's roots.
+Streams are split deterministically so estimates are reproducible for a
+fixed (seed, sample count, worker count).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "sample_st",
     "sample_st_batch",
     "sample_bank",
+    "varrho_bank",
     "perturb_radial",
     "mc_integrate",
     "char_monomial",
@@ -65,32 +70,41 @@ class McEstimate:
         return diff / self.std_error
 
 
-def _haar_su_eigs(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvalue tuples of `count` Haar-distributed SU(n) matrices, (count, n)."""
-    for _ in range(3):
-        try:
-            z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-            z /= math.sqrt(2.0)
-            q, r = np.linalg.qr(z)
-            d = np.einsum("...ii->...i", r)
-            q *= (d / np.abs(d))[:, None, :]
-            # q is Haar on U(n); divide by a uniform random n-th root of det(q)
-            det = np.linalg.det(q)
-            k = rng.integers(0, n, size=count)
-            root = det ** (1.0 / n) * np.exp(2j * np.pi * k / n)
-            q /= root[:, None, None]
-            return np.linalg.eigvals(q)
-        except np.linalg.LinAlgError:
-            # factorization failure is a measure-zero event: redraw
-            continue
-    raise np.linalg.LinAlgError("QR/eigenvalue factorization failed on 3 redraws")
+def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, n-1) rows e_1..e_{n-1} of Haar SU(n) characteristic polynomials.
+
+    The Szego recursion Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^*, with independent
+    a_k of uniform phase, |a_k|^2 ~ Beta(1, n-k-1) for k < n-1 and |a_{n-1}| = 1,
+    ends in a Haar U(n) characteristic polynomial with coefficients (-1)^k e_k.
+    Scaling e_k by c^k, c = det^(-1/n) times a uniform n-th root of unity, lands on SU(n).
+    """
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
+    radius = np.sqrt(rng.beta(1.0, np.arange(n - 1, 0, -1), size=(count, n - 1)))
+    a = np.exp(2j * np.pi * rng.random((count, n)))
+    a[:, :-1] *= radius
+    # phi[:, j] is the coefficient of z^(k-j) in Phi_k; Phi_k^* has them reversed and conjugated
+    phi = np.zeros((count, n + 1), dtype=np.complex128)
+    phi[:, 0] = 1.0
+    for k in range(n):
+        phi[:, 1 : k + 2] -= np.conj(a[:, k : k + 1] * phi[:, k::-1])
+    root = rng.integers(0, n, size=count)
+    c = np.exp(1j * (2 * np.pi * root - np.angle((-1) ** n * phi[:, n])) / n)
+    return phi[:, 1:n] * (-c[:, None]) ** np.arange(1, n)
+
+
+def _canonical_roots(e: np.ndarray) -> np.ndarray:
+    """Canonical roots of z^n - e_1 z^(n-1) + ... + (-1)^n, one polynomial per e-row, (count, n)."""
+    count, n = e.shape[0], e.shape[1] + 1
+    comp = np.zeros((count, n, n), dtype=np.complex128)
+    comp[:, 0] = np.concatenate([e, np.ones((count, 1))], axis=1) * (-1.0) ** np.arange(n)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return canonicalize_batch(np.linalg.eigvals(comp))
 
 
 def sample_st_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n) array of canonicalized Satake parameters drawn Haar-SU(n)."""
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
-    return canonicalize_batch(_haar_su_eigs(n, count, rng))
+    return _canonical_roots(_haar_su_varrho(n, count, rng))
 
 
 def sample_st(n: int, rng: np.random.Generator) -> SatakeParameter:
@@ -119,29 +133,24 @@ _BANK_LOCK = threading.Lock()
 _BANK_CACHE_LIMIT = 8
 
 
-def _stream_counts(m: int, workers: int) -> list[int]:
-    base, extra = divmod(m, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def sample_bank(
-    n: int, m: int, seed: int, workers: int = 1, stream_offset: int = 0
-) -> np.ndarray:
-    """Deterministic (m, n) bank of samples, partitioned across worker streams.
+def varrho_bank(n: int, m: int, seed: int, workers: int = 1, stream_offset: int = 0) -> np.ndarray:
+    """Deterministic (m, n-1) bank of rows e_1..e_{n-1}, partitioned across worker streams.
 
     Stream w draws its count from RngSeed(seed, stream_offset + w); banks are
     memoized since the draw is a pure function of the key.
     """
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     key = (n, m, seed, workers, stream_offset)
     with _BANK_LOCK:
         if key in _BANK_CACHE:
             return _BANK_CACHE[key]
+    base, extra = divmod(m, workers)
     chunks = [
-        sample_st_batch(n, count, RngSeed(seed, stream_offset + stream).generator())
-        for stream, count in enumerate(_stream_counts(m, workers))
-        if count > 0
+        _haar_su_varrho(n, base + (w < extra), RngSeed(seed, stream_offset + w).generator())
+        for w in range(workers)
     ]
     bank = np.concatenate(chunks, axis=0)
     bank.setflags(write=False)
@@ -152,16 +161,21 @@ def sample_bank(
     return bank
 
 
+def sample_bank(n: int, m: int, seed: int, workers: int = 1, stream_offset: int = 0) -> np.ndarray:
+    """(m, n) canonical eigenvalue rows: the roots of ``varrho_bank`` with the same arguments."""
+    return _canonical_roots(varrho_bank(n, m, seed, workers, stream_offset))
+
+
 def mc_integrate(f, n: int, m: int, seed: int | RngSeed, workers: int = 1) -> McEstimate:
     """Monte Carlo estimate of the conjugacy-class integral of f.
 
     Parameters
     ----------
     f : callable
-        Applied to the full (m, n) array of canonicalized eigenvalue rows;
-        must return a length-m array (vectorized over rows).  Wrap a
-        per-point function g with ``lambda a: np.array([g(row) for row in a])``
-        if needed.
+        Applied to the full (m, n-1) array of rows (e_1, ..., e_{n-1}), the
+        varrho coordinates of the draws, not to eigenvalues; must return a
+        length-m array (vectorized over rows), e.g. ``char_monomial(spec)``.
+        ``sample_bank(n, m, seed, workers)`` holds the same draws' eigenvalues.
     n, m : int
         Rank and sample count (m >= 2).
     seed : int or RngSeed
@@ -175,7 +189,7 @@ def mc_integrate(f, n: int, m: int, seed: int | RngSeed, workers: int = 1) -> Mc
         base, offset = seed.seed, seed.stream
     else:
         base, offset = int(seed), 0
-    bank = sample_bank(n, m, base, workers, stream_offset=offset)
+    bank = varrho_bank(n, m, base, workers, stream_offset=offset)
     vals = np.asarray(f(bank), dtype=np.complex128)
     if vals.shape != (m,):
         raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
@@ -186,8 +200,15 @@ def mc_integrate(f, n: int, m: int, seed: int | RngSeed, workers: int = 1) -> Mc
 
 
 def char_monomial(spec: TensorSpec):
-    """Vectorized integrand for prod_k chi_k^{i_k} * conj(chi_k)^{i'_k}."""
-    return lambda alphas: spec.monomial(elementary_symmetric(alphas))
+    """Vectorized prod_k chi_k^{i_k} * conj(chi_k)^{i'_k} on eigenvalue rows (width N) or e-rows (N-1)."""
+
+    def integrand(rows):
+        width = np.shape(rows)[-1]
+        if width not in (spec.n, spec.n - 1):
+            raise ValueError(f"rows must have width {spec.n} or {spec.n - 1}, got {width}")
+        return spec.monomial(elementary_symmetric(rows) if width == spec.n else np.asarray(rows))
+
+    return integrand
 
 
 def st_density_gl2(x: float) -> float:

@@ -256,3 +256,45 @@ class TestFailureContract:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "message" in json.loads(result.stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"N": 3, "members": [{"nu": [[True, False], [0, 1]], "L1Ad": 1.0}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": True}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1,0": [True, 0.0]}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": [[True, 0.0]] * 3}}]},
+        ],
+        ids=["nu-pair", "l1-adjoint", "coefficient-pair", "satake-pair"],
+    )
+    def test_ingest_rejects_boolean_numbers(self, runner, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "FamilyValidationError"
+        assert err["message"].startswith("member 0: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"], ids=["nan", "infinite", "negative"])
+    def test_hecke_rejects_bad_tolerance(self, runner, tol):
+        result = runner.invoke(cli, ["hecke", "--m", "100", "--tol", tol])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "tolerance" in json.loads(result.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "args, m",
+        [
+            (["sample", "--n", "2", "--m", "0"], 0),
+            (["sample", "--n", "2", "--m", "-3"], -3),
+            (["hecke", "--m", "0"], 0),
+        ],
+        ids=["sample-zero", "sample-negative", "hecke-zero"],
+    )
+    def test_nonpositive_sample_count(self, runner, args, m):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)["error"]
+        assert err == {"type": "ValueError", "message": f"sample count must be >= 1, got {m}"}

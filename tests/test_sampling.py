@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from satake_st.characters import TensorSpec, trivial_multiplicity
+from satake_st.satake import elementary_symmetric
 from satake_st.sampling import (
     McEstimate,
     RngSeed,
@@ -130,6 +131,54 @@ class TestMcIntegrate:
         est = McEstimate(mean=1.0 + 0j, std_error=0.0, samples=5)
         assert est.z_score(1.0) == 0.0
         assert est.z_score(2.0) == math.inf
+
+
+class TestVarrhoDraw:
+    """The draw is a row e_1..e_{N-1}; eigenvalue rows are its companion roots."""
+
+    @staticmethod
+    def integrated_rows(n, m, seed):
+        seen = []
+
+        def capture(rows):
+            seen.append(np.array(rows))
+            return np.zeros(len(rows))
+
+        mc_integrate(capture, n, m, seed=seed)
+        return seen[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_bank_roots_reproduce_integrated_rows(self, n):
+        rows = self.integrated_rows(n, 3000, seed=14)
+        assert rows.shape == (3000, n - 1)
+        bank = sample_bank(n, 3000, seed=14)
+        assert bank.shape == (3000, n)
+        assert np.max(np.abs(elementary_symmetric(bank) - rows)) < 1e-10
+
+    @pytest.mark.parametrize("n", [5, 6, 10])
+    def test_second_and_fourth_moments(self, n):
+        # E|chi_k|^2 = 1 and E|chi_k|^4 = min(k, N-k) + 1 under Haar measure;
+        # a radius law off by one in its Beta parameter misses these by far more than 5 sigma
+        for k in range(1, n):
+            for power, want in ((1, 1), (2, min(k, n - k) + 1)):
+                exps = [0] * (2 * (n - 1))
+                exps[2 * (k - 1)] = exps[2 * (k - 1) + 1] = power
+                est = mc_integrate(char_monomial(TensorSpec(n, tuple(exps))), n, 50_000, seed=15)
+                assert est.z_score(want) < 5, (k, power, est)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_char_monomial_agrees_on_both_row_kinds(self, n):
+        bank = sample_bank(n, 500, seed=16)
+        e = elementary_symmetric(bank)
+        for exps in [(1,) + (0,) * (2 * n - 3), (2, 1) + (0,) * (2 * n - 4), (1,) * (2 * n - 2)]:
+            f = char_monomial(TensorSpec(n, exps))
+            assert np.max(np.abs(f(bank) - f(e))) < 1e-12
+
+    @pytest.mark.parametrize("width", [1, 4, 5])
+    def test_char_monomial_rejects_other_widths(self, width):
+        f = char_monomial(TensorSpec(3, (1, 0, 0, 0)))
+        with pytest.raises(ValueError):
+            f(np.ones((7, width), dtype=complex))
 
 
 class TestDensities:
