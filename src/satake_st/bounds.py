@@ -41,8 +41,8 @@ class Gl3BoundParams:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"scale must be >= 1, got {self.t}")
+        if not 1 <= self.t < math.inf:
+            raise ValueError(f"scale must be finite and >= 1, got {self.t}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:
@@ -89,6 +89,8 @@ def verify_multiplicity_bound(
     Raises on any failing tuple: a failure would contradict the inequality
     the rate bound rests on (or expose a bug upstream).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     rows = []
     for exps in itertools.product(range(max_degree + 1), repeat=4):
         if sum(exps) > max_degree:
@@ -127,8 +129,8 @@ def rate_report(
         h = TestFunctionH.gaussian()
     rows = []
     for t in t_grid:
-        if t < 1:
-            raise ValueError(f"scale must be >= 1, got {t}")
+        if not 1 <= t < math.inf:
+            raise ValueError(f"scale must be finite and >= 1, got {t}")
         envelope = convergence_error(float(t), p_big, params.theta, params.eps)
         measured = None
         if family is not None:

@@ -288,17 +288,21 @@ def tensor_decompose(
     power e_k, and s_lam * e_k is the sum of s_nu over the nu obtained by
     adding a vertical k-strip to lam within N rows.  A full column is the
     determinant, trivial on SU(N), so each nu is shifted to end in 0.
-    The budget bounds the candidate strips of one step,
-    len(current) * C(N, k).
+    The budget bounds the candidate strips summed over all steps,
+    sum of len(current) * C(N, k); every step tries at least one, so a
+    degree above the budget fails before the factors are listed.
     """
     n = spec.n
+    if spec.degree > budget:
+        raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
+    tried = 0
     current = {(0,) * n: 1}
     for w in spec.factor_weights():
         k = w.size()
-        candidates = len(current) * math.comb(n, k)
-        if candidates > budget:
+        tried += len(current) * math.comb(n, k)
+        if tried > budget:
             raise TermBudgetExceeded(
-                f"Pieri step with {candidates} candidate strips exceeds budget {budget}"
+                f"Pieri steps with {tried} candidate strips in total exceed budget {budget}"
             )
         strips = [
             tuple(1 if i in rows else 0 for i in range(n))

@@ -14,8 +14,8 @@ fixed (seed, sample count, worker count).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,11 +128,6 @@ def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.nda
     return bank * float(p) ** shifts
 
 
-_BANK_CACHE: dict = {}
-_BANK_LOCK = threading.Lock()
-_BANK_CACHE_LIMIT = 8
-
-
 def varrho_bank(n: int, m: int, seed: int, workers: int = 1, stream_offset: int = 0) -> np.ndarray:
     """Deterministic (m, n-1) bank of rows e_1..e_{n-1}, partitioned across worker streams.
 
@@ -143,10 +138,12 @@ def varrho_bank(n: int, m: int, seed: int, workers: int = 1, stream_offset: int 
         raise ValueError(f"sample count must be >= 1, got {m}")
     if workers < 1:
         raise ValueError("worker count must be >= 1")
-    key = (n, m, seed, workers, stream_offset)
-    with _BANK_LOCK:
-        if key in _BANK_CACHE:
-            return _BANK_CACHE[key]
+    return _varrho_bank(n, m, seed, workers, stream_offset)
+
+
+@lru_cache(maxsize=8)
+def _varrho_bank(n: int, m: int, seed: int, workers: int, stream_offset: int) -> np.ndarray:
+    """The read-only bank of ``varrho_bank``; called positionally so every caller shares one key."""
     base, extra = divmod(m, workers)
     chunks = [
         _haar_su_varrho(n, base + (w < extra), RngSeed(seed, stream_offset + w).generator())
@@ -154,10 +151,6 @@ def varrho_bank(n: int, m: int, seed: int, workers: int = 1, stream_offset: int 
     ]
     bank = np.concatenate(chunks, axis=0)
     bank.setflags(write=False)
-    with _BANK_LOCK:
-        if len(_BANK_CACHE) >= _BANK_CACHE_LIMIT:
-            _BANK_CACHE.pop(next(iter(_BANK_CACHE)))
-        _BANK_CACHE[key] = bank
     return bank
 
 

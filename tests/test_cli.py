@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -298,3 +299,108 @@ class TestFailureContract:
         assert result.stdout == ""
         err = json.loads(result.stderr)["error"]
         assert err == {"type": "ValueError", "message": f"sample count must be >= 1, got {m}"}
+
+
+def assert_json_error(result, code=2):
+    assert result.exit_code == code
+    err = json.loads(result.stderr)["error"]
+    assert set(err) == {"type", "message"}
+    return err
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (["bound", "--rate", "--p", ","], "primes"),
+            (["equidist", "--n", "3", "--p", "0", "--synth-size", "10"], "primes"),
+            (["hecke", "--n", "3", "--m", "100", "--p", "-2"], "primes"),
+            (["bound", "--rate", "--p", "2", "--t-grid", "nan"], "scale"),
+            (["equidist", "--n", "3", "--synth-size", "10", "--t-grid", "nan"], "scale"),
+            (["bound", "--verify", "--p", "2", "--alpha", "nan", "--max-degree", "1"], "alpha"),
+            (["bound", "--rate", "--p", "2", "--spec", "2000,0,0,0"], "out of range"),
+            (["moment", "--n", "2", "--spec", "99999999,0", "--m", "10"], "budget"),
+        ],
+        ids=[
+            "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
+            "nan-alpha", "overflowing-envelope", "degree-above-budget",
+        ],
+    )
+    def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):
+        result = runner.invoke(cli, args, catch_exceptions=False)
+        assert fragment in assert_json_error(result)["message"]
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moment", "--n", "abc", "--spec", "1"],
+            ["decompose", "--n", "3", "--spec", "1,1,0,0", "--format", "xml"],
+            ["ingest", "no-such-family.json"],
+            ["moment", "--n", "2", "--spec", "1,1", "--workers", "0"],
+            ["bound", "--budget", "10"],
+            ["no-such-command"],
+        ],
+        ids=["bad-int", "bad-choice", "missing-path", "out-of-range", "unknown-flag", "unknown-command"],
+    )
+    def test_usage_error_is_json(self, runner, args):
+        result = runner.invoke(cli, args, catch_exceptions=False)
+        assert_json_error(result)
+        assert result.stdout == ""
+
+    def test_help_still_exits_0(self, runner):
+        for args in (["--help"], ["decompose", "--help"]):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0 and "Usage:" in result.stdout and result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["decompose", "--n", "3", "--spec", "1,1,0,0"],
+            ["moment", "--n", "2", "--spec", "1,1", "--m", "100"],
+            ["sample", "--n", "2", "--m", "100", "--bins", "5"],
+            ["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "1"],
+            ["bound", "--rate"],
+            ["hecke", "--m", "100"],
+            ["ingest", "FAMILY"],
+        ],
+        ids=["decompose", "moment", "sample", "equidist", "bound", "hecke", "ingest"],
+    )
+    def test_unwritable_out_exits_2(self, runner, tmp_path, args):
+        family = tmp_path / "fam.json"
+        save_family(synth_family(3, 4, primes=(2,), seed=1), family)
+        args = [str(family) if a == "FAMILY" else a for a in args]
+        result = runner.invoke(cli, args + ["--out", str(tmp_path / "missing" / "x.csv")], catch_exceptions=False)
+        assert assert_json_error(result)["type"] == "FileNotFoundError"
+
+    def test_commands_declare_only_the_shared_flags_they_read(self):
+        shared = {"seed", "workers", "budget"}
+        declared = {name: shared & {p.name for p in cmd.params} for name, cmd in cli.commands.items()}
+        assert declared == {
+            "decompose": {"budget"},
+            "moment": {"seed", "workers", "budget"},
+            "sample": {"seed", "workers"},
+            "equidist": {"seed"},
+            "bound": set(),
+            "hecke": {"seed", "workers"},
+            "ingest": set(),
+        }
+        assert all({"out", "fmt"} <= {p.name for p in cmd.params} for cmd in cli.commands.values())
+
+    def test_hecke_nan_residual_exits_1(self, runner, monkeypatch):
+        monkeypatch.setattr("satake_st.cli.hecke_residuals_n3", lambda bank: np.full(len(bank), np.nan))
+        result = runner.invoke(cli, ["hecke", "--m", "100", "--p", "2"], catch_exceptions=False)
+        assert assert_json_error(result, code=1)["type"] == "RuntimeError"
+        assert len(read_csv(result.stdout)) == 2
+
+    @pytest.mark.parametrize(
+        "member",
+        [{"nu": NU3, "L1Ad": 10**400}, {"nu": [[10**400, 0.0], [0.0, 1.0]], "L1Ad": 1.0}],
+        ids=["l1-adjoint", "nu-entry"],
+    )
+    def test_ingest_rejects_integer_too_large_for_float(self, runner, tmp_path, member):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"N": 3, "members": [member]}))
+        result = runner.invoke(cli, ["ingest", str(path)], catch_exceptions=False)
+        err = assert_json_error(result)
+        assert err["type"] == "FamilyValidationError" and err["message"].startswith("member 0: ")

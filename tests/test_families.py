@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from satake_st.characters import TensorSpec, eval_char
 from satake_st.families import (
+    _is_prime,
     Family,
     FamilyMember,
     FamilyValidationError,
@@ -380,3 +382,19 @@ class TestColumnsMatchMemberLoop:
             l_functional(fam, 2, TensorSpec(3, (0, 0, 1, 0)), h, 5.0)
         with pytest.raises(FamilyValidationError, match="member 1"):
             equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 1))], h, [5.0])
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(_is_prime(n) == trial(n) for n in range(-3, 20_000))
+
+    def test_large_keys_decided_fast(self):
+        # strong pseudoprimes to every prime base up to 37 and below; 2^61 - 1 is prime
+        composites = [3215031751, 3825123056546413051, 318665857834031151167461]
+        start = time.perf_counter()
+        assert not any(_is_prime(n) for n in composites)
+        assert _is_prime(2**61 - 1) and _is_prime(10**18 + 3)
+        assert time.perf_counter() - start < 1.0

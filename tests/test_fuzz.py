@@ -1,0 +1,152 @@
+"""Fuzzed inputs: every CLI run ends in output or the JSON error object, and
+the family loader lets only FamilyValidationError escape."""
+
+import json
+import math
+import os
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from satake_st.cli import cli
+from satake_st.families import Family, FamilyValidationError, family_from_dict, family_to_dict, save_family, synth_family
+
+JUNK = ["", "abc", "nan", "inf", "-inf", ",", "1,,2", "-1", "0", "1.5", "1e3", "--"]
+UNWRITABLE = os.path.join(os.devnull, "x.csv")  # a path under a file cannot be opened
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def int_lists(lo, hi, max_size=4):
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(lambda v: ",".join(map(str, v)))
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def flag_values(valid):
+    """Mostly in-range values, sometimes junk."""
+    return st.one_of(valid, valid, st.sampled_from(JUNK))
+
+
+# Bounded so that a well-formed run stays small: m <= 500, exponents <= 3, bins <= 200, N <= 5.
+FLAGS = {
+    "--n": ints(-1, 5),
+    "--m": ints(-2, 500),
+    "--spec": int_lists(0, 3, max_size=8),
+    "--bins": ints(-1, 200),
+    "--p": int_lists(-3, 12),
+    "--alpha": st.lists(floats(-3, 3), max_size=2).map(lambda v: ",".join(v)),
+    "--max-degree": ints(-1, 3),
+    "--t-grid": st.lists(floats(0, 1e3), max_size=3).map(lambda v: ",".join(v)),
+    "--theta": floats(-1, 1),
+    "--eps": floats(-1, 1),
+    "--tol": floats(-1, 1),
+    "--synth-size": ints(-1, 200),
+    "--seed": ints(-1, 5),
+    "--workers": ints(-1, 3),
+    "--budget": ints(0, 2000),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--out": st.sampled_from(["-", UNWRITABLE]),  # never junk: a junk path would be written to
+}
+
+COMMANDS = {
+    "decompose": ["--n", "--spec", "--budget", "--format", "--out"],
+    "moment": ["--n", "--spec", "--m", "--seed", "--workers", "--budget", "--format", "--out"],
+    "sample": ["--n", "--m", "--bins", "--seed", "--workers", "--format", "--out"],
+    "equidist": ["--n", "--p", "--synth-size", "--max-degree", "--t-grid", "--seed", "--format", "--out"],
+    "bound": ["--p", "--alpha", "--max-degree", "--spec", "--t-grid", "--theta", "--eps", "--format", "--out"],
+    "hecke": ["--n", "--m", "--p", "--tol", "--seed", "--workers", "--format", "--out"],
+    "ingest": ["--format", "--out", "--seed"],
+}
+
+
+@pytest.fixture(scope="module")
+def family_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("families")
+    good, bad = root / "good.json", root / "bad.json"
+    save_family(synth_family(3, 20, primes=(2,), seed=1), good)
+    bad.write_text('{"N": 3, "members": [{"nu": 5}]}')
+    return [str(good), str(bad), str(root / "missing.json"), str(root)]
+
+
+@st.composite
+def invocations(draw, paths):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    args = [command]
+    if command == "ingest":
+        args.append(draw(st.sampled_from(paths)))
+    elif command == "bound":
+        args.append(draw(st.sampled_from(["--verify", "--rate"])))
+    for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True)):
+        args += [flag, draw(FLAGS[flag] if flag == "--out" else flag_values(FLAGS[flag]))]
+    return args
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_ends_in_output_or_json_error(family_paths, data):
+    args = data.draw(invocations(family_paths))
+    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    if result.exit_code == 0:
+        return
+    err = json.loads(result.stderr)["error"]
+    assert set(err) == {"type", "message"}
+    if result.exit_code == 1:  # hecke's residual check reports after writing its rows
+        assert args[0] == "hecke" and "exceeds tolerance" in err["message"]
+    else:
+        assert result.exit_code == 2 and result.stdout == ""
+
+
+# 10**400 is a JSON integer too large for a float; strings are legal only for L1Ad
+NUMBERS = st.one_of(st.floats(), st.integers(), st.booleans(), st.sampled_from([10**400, "1e400", "nan", "2.5"]))
+
+
+def pairs():
+    return st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), st.lists(NUMBERS, max_size=3), NUMBERS, st.none())
+
+
+VALID_DOCUMENTS = [json.dumps(family_to_dict(synth_family(2, m, primes=(2, 3), seed=m))) for m in (1, 2, 3)]
+
+
+@st.composite
+def family_documents(draw):
+    """Valid documents with up to three fields replaced, dropped or added."""
+    doc = json.loads(VALID_DOCUMENTS[draw(st.integers(0, len(VALID_DOCUMENTS) - 1))])
+    json_values = st.recursive(
+        st.none() | NUMBERS | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+    # small keys only: a large coefficient index is legitimately expensive to check
+    keys = st.sampled_from(["2", "3", "4", "02", "0", "1", "2,1", "a", "", "-1", "1, 0"])
+    members = doc["members"]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            target, key = doc, draw(st.sampled_from(["N", "label", "members", "extra"]))
+        else:
+            target = draw(st.sampled_from(members))
+            key = draw(st.sampled_from(["nu", "L1Ad", "satake", "coefficients", "extra"]))
+        target[key] = draw(st.one_of(
+            json_values, pairs(), st.lists(pairs(), max_size=3),
+            st.dictionaries(keys, st.one_of(pairs(), st.lists(pairs(), max_size=3)), max_size=2),
+        ))
+        if draw(st.integers(0, 4)) == 0:
+            del target[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_documents())
+def test_family_loader_raises_only_validation_errors(doc):
+    try:
+        fam = family_from_dict(doc)
+    except FamilyValidationError:
+        return
+    assert isinstance(fam, Family)
+    assert all(math.isfinite(mem.l1_adjoint) and mem.l1_adjoint > 0 for mem in fam.members)

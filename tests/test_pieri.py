@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -55,3 +56,15 @@ class TestPieriMatchesPeeling:
         assert sum(a * dim(mu) for mu, a in dec.items()) == math.prod(
             dim(w) for w in spec.factor_weights()
         )
+
+    def test_budget_bounds_strips_summed_over_steps(self):
+        # every step of (200, 0) tries at most 202 candidates, but their sum is about 20,000
+        with pytest.raises(TermBudgetExceeded, match="in total"):
+            tensor_decompose(TensorSpec(2, (200, 0)), budget=10_000)
+        tensor_decompose(TensorSpec(2, (100, 0)), budget=10_000)
+
+    def test_degree_above_budget_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(TermBudgetExceeded, match="degree"):
+            tensor_decompose(TensorSpec(2, (10**8, 0)))
+        assert time.perf_counter() - start < 1.0

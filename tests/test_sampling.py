@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from satake_st.characters import TensorSpec, trivial_multiplicity
+from satake_st import sampling
 from satake_st.satake import elementary_symmetric
 from satake_st.sampling import (
     McEstimate,
@@ -19,6 +20,7 @@ from satake_st.sampling import (
     sample_st_batch,
     st_cdf_gl2,
     st_density_gl2,
+    varrho_bank,
 )
 
 from oracles import sample_st_rejection
@@ -104,6 +106,14 @@ class TestReproducibility:
         a = sample_bank(2, 1000, seed=11, workers=2)
         b = sample_bank(2, 1000, seed=11, workers=2)
         assert np.array_equal(a, b)
+
+    def test_redraw_after_cache_clear_is_bitwise_identical(self):
+        a = varrho_bank(3, 1000, 13, 2)
+        sampling._varrho_bank.cache_clear()
+        b = varrho_bank(3, 1000, seed=13, workers=2, stream_offset=0)
+        assert b is not a and b.tobytes() == a.tobytes()
+        assert varrho_bank(3, 1000, 13, 2) is b  # keyword and positional calls share one entry
+        assert not b.flags.writeable
 
 
 class TestMcIntegrate:
