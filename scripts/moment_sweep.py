@@ -8,7 +8,6 @@ z-score, which should stay within a few units for an exact sampler.
 
 import argparse
 import csv
-import itertools
 import sys
 
 from satake_st.characters import TensorSpec, trivial_multiplicity
@@ -28,16 +27,13 @@ def main():
     writer = csv.writer(fh)
     writer.writerow(["spec", "oracle", "mean_re", "mean_im", "std_error", "z"])
     worst = 0.0
-    for exps in itertools.product(range(args.max_degree + 1), repeat=2 * (args.n - 1)):
-        if sum(exps) > args.max_degree:
-            continue
-        spec = TensorSpec(args.n, exps)
+    for spec in TensorSpec.up_to_degree(args.n, args.max_degree):
         oracle = trivial_multiplicity(spec)
         est = mc_integrate(char_monomial(spec), args.n, args.m, seed=args.seed)
         z = est.z_score(oracle)
         worst = max(worst, z)
         writer.writerow(
-            [",".join(map(str, exps)), oracle, est.mean.real, est.mean.imag, est.std_error, z]
+            [",".join(map(str, spec.exponents)), oracle, est.mean.real, est.mean.imag, est.std_error, z]
         )
     if fh is not sys.stdout:
         fh.close()

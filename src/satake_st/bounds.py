@@ -8,7 +8,6 @@ is asserted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,17 +91,14 @@ def verify_multiplicity_bound(
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     rows = []
-    for exps in itertools.product(range(max_degree + 1), repeat=4):
-        if sum(exps) > max_degree:
-            continue
-        spec = TensorSpec(3, exps)
+    for spec in TensorSpec.up_to_degree(3, max_degree):
         exact = dominant_part_sum(spec, p, alpha)
         bound = specialization_bound_n3(spec, p, alpha)
         ok = exact <= bound
-        rows.append(MultiplicityBoundRow(exps, exact, bound, ok))
+        rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, ok))
         if not ok:
             raise RuntimeError(
-                f"multiplicity bound violated at {exps}: {exact} > {bound}"
+                f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}"
             )
     return rows
 

@@ -4,8 +4,8 @@ Weight multiplicities come from Freudenthal's recursion in integer
 arithmetic; tensor products of fundamental modules are decomposed by the
 iterated Pieri rule on partitions, with no weight tables; numeric
 character values use the Jacobi-Trudi determinant with complete
-homogeneous symmetric functions (finite at coincident eigenvalues,
-unlike the bialternant ratio).
+homogeneous symmetric functions h_r, taken from the e-row by the h-e
+duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ class TensorSpec:
             )
         if any(e < 0 for e in exps):
             raise ValueError(f"exponents must be non-negative: {exps}")
+
+    @classmethod
+    def up_to_degree(cls, n: int, d: int) -> list[TensorSpec]:
+        """Every spec of rank n and degree <= d, exponent tuples in lexicographic order."""
+        rows = [()]
+        for _ in range(2 * (n - 1)):
+            rows = [row + (e,) for row in rows for e in range(d - sum(row) + 1)]
+        return [cls(n, row) for row in rows]
 
     @property
     def degree(self) -> int:
@@ -326,43 +334,57 @@ def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
     return tensor_decompose(spec, budget).get(zero, 0)
 
 
+def _signed_e_row(a: np.ndarray) -> np.ndarray:
+    """(1, -e_1, e_2, ..., (-1)^N e_N) of (..., N) eigenvalue rows, on a leading axis.
+
+    The coefficients of prod_i (1 - a_i t), one vector update per eigenvalue.
+    """
+    n = a.shape[-1]
+    row = np.zeros((n + 1,) + a.shape[:-1], dtype=np.complex128)
+    row[0] = 1.0
+    for i in range(n):
+        row[1 : i + 2] -= a[..., i] * row[: i + 1]
+    return row
+
+
+def elementary_symmetric(arr: np.ndarray) -> tuple[complex, ...] | np.ndarray:
+    """e_1..e_{N-1} of (..., N) eigenvalue arrays, vectorized."""
+    a = np.asarray(arr, dtype=np.complex128)
+    e = _signed_e_row(a)[1 : a.shape[-1]]
+    np.negative(e[::2], out=e[::2])  # e_k = (-1)^k row[k]: negate odd k
+    out = np.moveaxis(e, 0, -1)
+    return tuple(complex(v) for v in out) if out.ndim == 1 else out
+
+
 def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
     """Schur polynomial s_mu at the eigenvalue tuple(s) alphas.
 
     Vectorized over leading axes: alphas of shape (..., N) gives a result
     of shape (...).  Jacobi-Trudi determinant in the complete homogeneous
-    basis, built from power sums via Newton's identities.
+    basis, with h from the e-row by the duality sum_{i=0..N} (-1)^i e_i
+    h_{r-i} = 0 for r >= 1 (Macdonald I.2.6'); e_N is the product of the
+    eigenvalues, so values off SU(N) are right too.
     """
     arr = np.asarray(alphas, dtype=np.complex128)
-    if arr.shape[-1] != mu.n:
-        raise ValueError(f"expected last axis of length {mu.n}, got shape {arr.shape}")
-    if np.any(arr == 0):
+    n = mu.n
+    if arr.shape[-1] != n:
+        raise ValueError(f"expected last axis of length {n}, got shape {arr.shape}")
+    if not arr.all():
         raise ValueError("zero eigenvalue in character evaluation")
     lam = [p for p in mu.parts if p > 0]
     m = len(lam)
-    if m == 0:
-        out = np.ones(arr.shape[:-1], dtype=np.complex128)
-        return complex(out) if out.ndim == 0 else out
-    r_max = lam[0] + m - 1
-    shape = arr.shape[:-1]
-    powers = np.ones(arr.shape, dtype=np.complex128)
-    h = np.zeros((r_max + 1,) + shape, dtype=np.complex128)
-    h[0] = 1.0
-    p = np.zeros((r_max + 1,) + shape, dtype=np.complex128)
-    for r in range(1, r_max + 1):
-        powers = powers * arr
-        p[r] = powers.sum(axis=-1)
-        acc = np.zeros(shape, dtype=np.complex128)
-        for i in range(1, r + 1):
-            acc += p[i] * h[r - i]
-        h[r] = acc / r
-    mat = np.zeros(shape + (m, m), dtype=np.complex128)
+    r_max = lam[0] + m - 1 if lam else 0
+    coeffs = -_signed_e_row(arr)[:0:-1]  # (-1)^(i-1) e_i for i = N..1
+    # h[n - 1 + r] holds h_r; the n - 1 leading zeros are h_r for r < 0
+    h = np.zeros((n + r_max,) + arr.shape[:-1], dtype=np.complex128)
+    h[n - 1] = 1.0
+    for r in range(n, n + r_max):
+        h[r] = (coeffs * h[r - n : r]).sum(axis=0)
+    mat = np.empty(arr.shape[:-1] + (m, m), dtype=np.complex128)
     for i in range(m):
         for j in range(m):
-            idx = lam[i] - i + j
-            if idx >= 0:
-                mat[..., i, j] = h[idx]
-    out = np.linalg.det(mat) if m > 1 else mat[..., 0, 0]
+            mat[..., i, j] = h[n - 1 + lam[i] - i + j]
+    out = mat[..., 0, 0] if m == 1 else np.linalg.det(mat)  # 1 for the empty matrix, m = 0
     return complex(out) if out.ndim == 0 else out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import sys
 
@@ -96,7 +95,15 @@ def _flags(*shared):
 
 
 class _JsonErrorGroup(click.Group):
-    """Group that turns every usage or input error of a command into the JSON error object, exit 2."""
+    """Group that turns every usage or input error, its own or a command's, into the JSON error object, exit 2."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.exceptions.NoArgsIsHelpError:  # a bare call prints the help text
+            raise
+        except click.UsageError as exc:
+            _fail(exc)
 
     def invoke(self, ctx):
         try:
@@ -199,11 +206,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
             raise ValueError(f"family has N={fam.n}, requested N={n}")
     else:
         fam = synth_family(n, synth_size, mode=synth_mode, primes=(p,), seed=seed)
-    specs = [
-        TensorSpec(n, exps)
-        for exps in itertools.product(range(max_degree + 1), repeat=2 * (n - 1))
-        if sum(exps) <= max_degree
-    ]
+    specs = TensorSpec.up_to_degree(n, max_degree)
     h = TestFunctionH.gaussian() if h_kind == "gaussian" else TestFunctionH.indicator()
     rows = [
         {

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 CS_COHERENCE_TOL = 1e-6
+MAX_INDEX_DEGREE = 1000  # largest |l| = l_1 + ... + l_{N-1} of a stored coefficient
 
 
 class FamilyValidationError(ValueError):
@@ -399,6 +400,8 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
         coeffs = {}
         for key, pair in raw["coefficients"].items():
             l = tuple(_decimal(v) for v in key.split(","))
+            if sum(l) > MAX_INDEX_DEGREE:
+                raise FamilyValidationError(f"coefficient index {key!r}: |l| = {sum(l)} exceeds {MAX_INDEX_DEGREE}")
             coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
     satake = None
     if "satake" in raw:

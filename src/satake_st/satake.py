@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import eval_char
-from .weights import CoefficientIndex, aleph
+from .characters import elementary_symmetric, eval_char
+from .weights import CoefficientIndex, DominantWeight, aleph
 
 __all__ = [
     "SatakeParameter",
@@ -130,39 +130,14 @@ def varrho(x: SatakeParameter) -> tuple[complex, ...]:
     return elementary_symmetric(x.as_array())
 
 
-def elementary_symmetric(arr: np.ndarray) -> tuple[complex, ...] | np.ndarray:
-    """e_1..e_{N-1} of (..., N) eigenvalue arrays, vectorized."""
-    a = np.asarray(arr, dtype=np.complex128)
-    n = a.shape[-1]
-    shape = a.shape[:-1]
-    e = np.zeros((n + 1,) + shape, dtype=np.complex128)
-    e[0] = 1.0
-    for i in range(n):
-        ai = a[..., i]
-        for k in range(min(i + 1, n), 0, -1):
-            e[k] = e[k] + ai * e[k - 1]
-    out = np.moveaxis(e[1:n], 0, -1)
-    if shape == ():
-        return tuple(complex(v) for v in out)
-    return out
-
-
 def hecke_check_n3(x: SatakeParameter) -> float:
     """Residual of the degree-2 Hecke identity A(1,p)A(p,1) = A(p,p) + 1."""
-    if x.n != 3:
-        raise ValueError(f"identity check requires N=3, got N={x.n}")
-    a_01 = coefficient(x, CoefficientIndex(3, (0, 1)))
-    a_10 = coefficient(x, CoefficientIndex(3, (1, 0)))
-    a_11 = coefficient(x, CoefficientIndex(3, (1, 1)))
-    return abs(a_01 * a_10 - a_11 - 1.0)
+    return float(hecke_residuals_n3(x.as_array()))
 
 
 def hecke_residuals_n3(alphas: np.ndarray) -> np.ndarray:
     """Vectorized residuals of the N=3 Hecke identity over rows of (..., 3)."""
-    from .weights import DominantWeight
-
-    arr = np.asarray(alphas, dtype=np.complex128)
-    chi1 = eval_char(DominantWeight(3, (1, 0, 0)), arr)
-    chi2 = eval_char(DominantWeight(3, (1, 1, 0)), arr)
-    adj = eval_char(DominantWeight(3, (2, 1, 0)), arr)
+    chi1 = eval_char(DominantWeight(3, (1, 0, 0)), alphas)
+    chi2 = eval_char(DominantWeight(3, (1, 1, 0)), alphas)
+    adj = eval_char(DominantWeight(3, (2, 1, 0)), alphas)
     return np.abs(chi1 * chi2 - adj - 1.0)

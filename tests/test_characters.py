@@ -23,7 +23,8 @@ from satake_st.characters import (
     trivial_multiplicity,
     weight_table,
 )
-from satake_st.weights import DominantWeight
+from satake_st.satake import canonicalize, coefficient
+from satake_st.weights import CoefficientIndex, DominantWeight, aleph
 
 from oracles import eval_char_bialternant
 
@@ -270,6 +271,43 @@ class TestEvalChar:
     def test_rejects_zero_eigenvalue(self):
         with pytest.raises(ValueError):
             eval_char(DominantWeight(3, (1, 0, 0)), np.array([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "n, parts", [(3, (40, 7, 0)), (3, (1000, 0, 0)), (4, (30, 12, 5, 0))], ids=["40-7", "1000", "n4"]
+    )
+    def test_matches_bialternant_at_high_degree(self, n, parts):
+        mu = DominantWeight(n, parts)
+        rng = np.random.default_rng(31)
+        batch = np.stack([random_torus_point(n, rng) for _ in range(10)])
+        want = eval_char_bialternant(mu, batch)
+        assert np.max(np.abs(eval_char(mu, batch) - want) / np.abs(want)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "n, parts", [(3, (2, 1, 0)), (3, (5, 3, 0)), (4, (3, 2, 1, 0)), (5, (4, 2, 2, 1, 0))]
+    )
+    def test_rows_off_su_n_keep_the_e_n_term(self, n, parts):
+        mu = DominantWeight(n, parts)
+        rng = np.random.default_rng(37)
+        rows = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
+        assert np.min(np.abs(np.prod(rows, axis=-1) - 1.0)) > 0.1
+        want = eval_char_bialternant(mu, rows)
+        assert np.max(np.abs(eval_char(mu, rows) - want) / np.abs(want)) < 1e-9
+
+    def test_coefficient_at_index_1000_matches_bialternant(self):
+        x = canonicalize(random_torus_point(3, np.random.default_rng(41)))
+        idx = CoefficientIndex(3, (1000, 0))
+        want = eval_char_bialternant(aleph(idx), x.as_array())
+        assert abs(coefficient(x, idx) - want) < 1e-9 * abs(want)
+
+
+class TestUpToDegree:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_filtered_product_scan_in_order(self, n):
+        for d in range(5):
+            assert TensorSpec.up_to_degree(n, d) == list(all_specs(n, d))
+
+    def test_negative_degree_is_empty(self):
+        assert TensorSpec.up_to_degree(3, -1) == []
 
 
 class TestDominantPartSum:

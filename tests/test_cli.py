@@ -218,10 +218,12 @@ class TestFailureContract:
             {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": {"2": ONE3, "02": ONE3}}]},
             {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1,0": [1.0, 0.0], "01,0": [2.0, 0.0]}}]},
             {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1, 0": [1.0, 0.0]}}]},
+            {"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "coefficients": {"1001,0": [0.0, 0.0]}}]},
         ],
         ids=[
             "member-not-object", "nu-not-array", "l1-infinite", "nan-entry", "short-satake",
             "satake-key-leading-zero", "coefficient-key-leading-zero", "coefficient-key-space",
+            "coefficient-index-above-bound",
         ],
     )
     def test_ingest_rejects_malformed_member(self, runner, tmp_path, doc):
@@ -340,8 +342,12 @@ class TestErrorBoundary:
             ["moment", "--n", "2", "--spec", "1,1", "--workers", "0"],
             ["bound", "--budget", "10"],
             ["no-such-command"],
+            ["--bogus", "decompose", "--n", "3", "--spec", "1,1,0,0"],
         ],
-        ids=["bad-int", "bad-choice", "missing-path", "out-of-range", "unknown-flag", "unknown-command"],
+        ids=[
+            "bad-int", "bad-choice", "missing-path", "out-of-range", "unknown-flag", "unknown-command",
+            "group-level-unknown-flag",
+        ],
     )
     def test_usage_error_is_json(self, runner, args):
         result = runner.invoke(cli, args, catch_exceptions=False)

@@ -288,6 +288,20 @@ class TestSerialization:
         with pytest.raises(FamilyValidationError):
             family_from_dict(doc)
 
+    def test_coherent_coefficient_at_the_index_bound_loads(self):
+        mem = coherent_member(seed=22)
+        value = coefficient(mem.satake[2], CoefficientIndex(3, (1000, 0)))
+        doc = family_to_dict(Family(3, (mem,)))
+        doc["members"][0]["coefficients"] = {"1000,0": [value.real, value.imag]}
+        back = family_from_dict(doc)
+        assert back.members[0].coefficients[CoefficientIndex(3, (1000, 0))] == value
+
+    def test_rejects_coefficient_index_above_the_bound(self):
+        doc = family_to_dict(Family(3, (coherent_member(seed=23),)))
+        doc["members"][0]["coefficients"] = {"1001,0": [0.0, 0.0]}
+        with pytest.raises(FamilyValidationError, match="member 0: coefficient index '1001,0'"):
+            family_from_dict(doc)
+
     def test_rejects_bad_satake_product(self):
         doc = {
             "N": 2,

@@ -10,6 +10,7 @@ from satake_st.satake import (
     canonicalize,
     canonicalize_batch,
     coefficient,
+    elementary_symmetric,
     hecke_check_n3,
     hecke_residuals_n3,
     in_T0,
@@ -167,6 +168,26 @@ class TestVarrho:
             for j in range(i + 1, len(points)):
                 if np.max(np.abs(points[i] - points[j])) > 1e-6:
                     assert np.max(np.abs(images[i] - images[j])) > 1e-9
+
+
+def elementary_symmetric_loop(a):
+    """e_1..e_{N-1} by the in-place update e_k += a_i e_{k-1}, one entry at a time."""
+    n = a.shape[-1]
+    e = np.zeros((n + 1,) + a.shape[:-1], dtype=np.complex128)
+    e[0] = 1.0
+    for i in range(n):
+        for k in range(i + 1, 0, -1):
+            e[k] = e[k] + a[..., i] * e[k - 1]
+    return np.moveaxis(e[1:n], 0, -1)
+
+
+class TestElementarySymmetric:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_equals_entrywise_loop(self, n):
+        rng = np.random.default_rng(43)
+        rows = rng.normal(size=(2, 5, n)) + 1j * rng.normal(size=(2, 5, n))
+        assert elementary_symmetric(rows).tobytes() == elementary_symmetric_loop(rows).tobytes()
+        assert elementary_symmetric(rows[0, 0]) == tuple(elementary_symmetric_loop(rows[0, 0]))
 
 
 class TestHeckeIdentity:
