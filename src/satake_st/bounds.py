@@ -42,8 +42,8 @@ class Gl3BoundParams:
     def __post_init__(self):
         if not 1 <= self.t < math.inf:
             raise ValueError(f"scale must be finite and >= 1, got {self.t}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:
             raise ValueError(f"theta must lie in [0, 7/64], got {self.theta}")
         exps = tuple(int(e) for e in self.exponents)

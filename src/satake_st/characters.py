@@ -1,11 +1,12 @@
 """Exact characters of SU(N) irreducibles.
 
-Weight multiplicities come from Freudenthal's recursion in integer
-arithmetic; tensor products of fundamental modules are decomposed by the
-iterated Pieri rule on partitions, with no weight tables; numeric
-character values use the Jacobi-Trudi determinant with complete
-homogeneous symmetric functions h_r, taken from the e-row by the h-e
-duality (finite at coincident eigenvalues, unlike the bialternant ratio).
+Weight multiplicities come from the branching rule in integer arithmetic
+(Macdonald I.5.11: peel off one variable over every horizontal strip);
+tensor products of fundamental modules are decomposed by the iterated
+Pieri rule on partitions, with no weight tables; numeric character values
+use the Jacobi-Trudi determinant with complete homogeneous symmetric
+functions h_r, taken from the e-row by the h-e duality (finite at
+coincident eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -132,19 +133,6 @@ def _canon(coords) -> tuple[int, ...]:
     return t
 
 
-def _height_key(coords: tuple[int, ...]) -> tuple:
-    """Sort key strictly increasing along the dominance order.
-
-    For same-coset weights mu, nu: mu dominates nu implies
-    key(mu) > key(nu).  N * sum_k f_k where f_k are the fundamental-weight
-    coordinates, kept integral; ties broken lexicographically.
-    """
-    n = len(coords)
-    total = sum(coords)
-    height = sum((n - 1 - i) * c * n for i, c in enumerate(coords)) - total * n * (n - 1) // 2
-    return (height, coords)
-
-
 def dim(mu: DominantWeight) -> int:
     """Weyl dimension formula: prod_{i<j} (m_i - m_j + j - i)/(j - i)."""
     parts = mu.parts
@@ -159,90 +147,37 @@ def dim(mu: DominantWeight) -> int:
     return num // den
 
 
-def _dominated_partitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Partitions of |lam| into len(lam) non-negative parts dominated by lam."""
-    n = len(lam)
-    total = sum(lam)
-    out = []
-
-    def rec(prefix, remaining, prev, prefix_sum):
-        i = len(prefix)
-        if i == n - 1:
-            last = remaining
-            if 0 <= last <= prev:
-                out.append(tuple(prefix) + (last,))
-            return
-        lam_prefix = sum(lam[: i + 1])
-        # next part p: p <= prev, prefix_sum + p <= lam_prefix (dominance),
-        # and the tail must be fillable: remaining - p <= p * (n - i - 1)
-        lo = -(-remaining // (n - i))  # ceil(remaining / slots)
-        hi = min(prev, lam_prefix - prefix_sum, remaining)
-        for p in range(hi, lo - 1, -1):
-            rec(prefix + [p], remaining - p, p, prefix_sum + p)
-
-    rec([], total, total, 0)
-    return out
-
-
-def _orbit(coords: tuple[int, ...]):
-    """Distinct permutations of a coordinate tuple."""
-    return set(itertools.permutations(coords))
-
-
 @lru_cache(maxsize=None)
 def _weight_table_terms(n: int, parts: tuple[int, ...]) -> dict:
     """Full weight multiplicity map of the irreducible with highest weight parts.
 
-    Freudenthal recursion over dominant weights, extended by Weyl symmetry.
-    Cached; safe for concurrent readers (lru_cache locks insertion).
+    Branching rule (Macdonald I.5.11): s_lam(x_1..x_k) is the sum of
+    s_mu(x_1..x_{k-1}) x_k^(|lam|-|mu|) over the mu interlacing lam,
+    lam_{i+1} <= mu_i <= lam_i.  Sub-tables are memoised per call on full
+    weight coordinates, canonicalised once at the end.  Cached; safe for
+    concurrent readers (lru_cache locks insertion).
     """
-    lam = parts
-    rho = tuple(range(n - 1, -1, -1))
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    lam_rho_sq = sum(a * a for a in lam_rho)
+    memo: dict[tuple[int, ...], dict] = {(): {(): 1}}
 
-    pos_roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = [0] * n
-            r[i], r[j] = 1, -1
-            pos_roots.append(tuple(r))
+    def table(lam: tuple[int, ...]) -> dict:
+        if lam not in memo:
+            out: dict[tuple[int, ...], int] = {}
+            ranges = [range(lo, hi + 1) for hi, lo in zip(lam, lam[1:])]
+            for mu in itertools.product(*ranges):
+                last = (sum(lam) - sum(mu),)
+                for w, m in table(mu).items():
+                    out[w + last] = out.get(w + last, 0) + m
+            memo[lam] = out
+        return memo[lam]
 
-    dominants = sorted(_dominated_partitions(lam), key=_height_key, reverse=True)
-    mult: dict[tuple[int, ...], int] = {}
-    for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        acc = 0
-        for alpha in pos_roots:
-            k = 1
-            while True:
-                shifted = tuple(m + k * a for m, a in zip(mu, alpha))
-                key = tuple(sorted(shifted, reverse=True))
-                m_up = mult.get(key, 0)
-                if m_up == 0:
-                    # weights of V_lam dominated by lam form a saturated set:
-                    # once we leave it along alpha we never re-enter
-                    break
-                acc += m_up * sum(s * a for s, a in zip(shifted, alpha))
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        den = lam_rho_sq - sum(a * a for a in mu_rho)
-        assert den > 0 and (2 * acc) % den == 0
-        m = 2 * acc // den
-        if m:
-            mult[mu] = m
-
-    table: dict[tuple[int, ...], int] = {}
-    for mu, m in mult.items():
-        for w in _orbit(mu):
-            table[_canon(w)] = m
-    return table
+    terms = {_canon(w): m for w, m in table(parts).items()}
+    assert sum(terms.values()) == dim(DominantWeight(n, parts))
+    return terms
 
 
 def weight_table(mu: DominantWeight, budget: int = DEFAULT_TERM_BUDGET) -> CharacterTable:
-    """Exact weight multiplicities of the irreducible with highest weight mu."""
+    """Exact weight multiplicities of the irreducible with highest weight mu,
+    by the branching rule; each call returns a copy of the cached table."""
     est = dim(mu)
     if est > budget:
         raise TermBudgetExceeded(
@@ -395,15 +330,15 @@ def dominant_part_sum(
 
     |l| is the coordinate sum of the coefficient index of the weight; uses
     the raw product-table coefficients, an upper bound for the
-    decomposition multiplicities.
+    decomposition multiplicities.  Summed by math.fsum, so the value
+    depends on the table's entries and not on the order of its keys.
     """
     table = spec_product_table(spec, budget)
-    total = 0.0
-    for w, c in table.terms.items():
-        if all(x >= y for x, y in zip(w, w[1:])):
-            l = aleph_inv(DominantWeight(spec.n, w)).l
-            total += c * float(p) ** (alpha * sum(l))
-    return total
+    return math.fsum(
+        c * float(p) ** (alpha * sum(aleph_inv(DominantWeight(spec.n, w)).l))
+        for w, c in table.terms.items()
+        if all(x >= y for x, y in zip(w, w[1:]))
+    )
 
 
 def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:

@@ -279,12 +279,10 @@ def equidist_report(
     specs: list[TensorSpec],
     h: TestFunctionH,
     t_grid,
-    theta: float = 7.0 / 64.0,
-    eps: float = 1e-6,
 ) -> list[EquidistRow]:
     """Weighted statistic vs. exact moment for each spec and scale; a member
     without a Satake parameter at p needs a stored A[k] for every k some spec uses."""
-    from .bounds import convergence_error
+    from .bounds import THETA_DEFAULT, Gl3BoundParams, convergence_error
 
     weight_columns = _weight_columns(family, h, t_grid)
     e = _e_columns(family, p)
@@ -297,7 +295,7 @@ def equidist_report(
             bound = None
             if family.n == 3:
                 p_big = float(p) ** spec.degree
-                bound = convergence_error(t, p_big, theta, eps)
+                bound = convergence_error(t, p_big, THETA_DEFAULT, Gl3BoundParams.eps)
             rows.append(
                 EquidistRow(
                     spec=spec, t=float(t), estimate=mean, std_error=se,
@@ -370,7 +368,9 @@ def family_from_dict(data: dict) -> Family:
         raise FamilyValidationError(f"N must be a JSON integer, got {n!r}")
     if n < 2 or not isinstance(raw_members, list):
         raise FamilyValidationError("need N >= 2 and a JSON array of members")
-    label = str(data.get("label", ""))
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
     members = []
     for pos, raw in enumerate(raw_members):
         try:

@@ -2,6 +2,9 @@
 
 None of these is used by the library itself:
 
+- ``freudenthal_weight_table`` computes the weight multiplicities of an
+  irreducible by Freudenthal's recursion over dominant weights, extended
+  by Weyl symmetry;
 - ``peel_decompose`` decomposes a tensor product by highest-weight peeling
   against the exact weight-multiplicity product table;
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
@@ -10,17 +13,112 @@ None of these is used by the library itself:
   rejection against the Weyl density.
 """
 
+import itertools
+
 import numpy as np
 
 from satake_st.characters import (
     DEFAULT_TERM_BUDGET,
     TensorSpec,
-    _height_key,
+    _canon,
     spec_product_table,
     weight_table,
 )
 from satake_st.satake import canonicalize_batch
 from satake_st.weights import DominantWeight
+
+
+def _height_key(coords: tuple[int, ...]) -> tuple:
+    """Sort key strictly increasing along the dominance order.
+
+    For same-coset weights mu, nu: mu dominates nu implies
+    key(mu) > key(nu).  N * sum_k f_k where f_k are the fundamental-weight
+    coordinates, kept integral; ties broken lexicographically.
+    """
+    n = len(coords)
+    total = sum(coords)
+    height = sum((n - 1 - i) * c * n for i, c in enumerate(coords)) - total * n * (n - 1) // 2
+    return (height, coords)
+
+
+def _dominated_partitions(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Partitions of |lam| into len(lam) non-negative parts dominated by lam."""
+    n = len(lam)
+    total = sum(lam)
+    out = []
+
+    def rec(prefix, remaining, prev, prefix_sum):
+        i = len(prefix)
+        if i == n - 1:
+            last = remaining
+            if 0 <= last <= prev:
+                out.append(tuple(prefix) + (last,))
+            return
+        lam_prefix = sum(lam[: i + 1])
+        # next part p: p <= prev, prefix_sum + p <= lam_prefix (dominance),
+        # and the tail must be fillable: remaining - p <= p * (n - i - 1)
+        lo = -(-remaining // (n - i))  # ceil(remaining / slots)
+        hi = min(prev, lam_prefix - prefix_sum, remaining)
+        for p in range(hi, lo - 1, -1):
+            rec(prefix + [p], remaining - p, p, prefix_sum + p)
+
+    rec([], total, total, 0)
+    return out
+
+
+def _orbit(coords: tuple[int, ...]):
+    """Distinct permutations of a coordinate tuple."""
+    return set(itertools.permutations(coords))
+
+
+def freudenthal_weight_table(n: int, parts: tuple[int, ...]) -> dict:
+    """Full weight multiplicity map of the irreducible with highest weight parts.
+
+    Freudenthal recursion over dominant weights, extended by Weyl symmetry.
+    """
+    lam = parts
+    rho = tuple(range(n - 1, -1, -1))
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    lam_rho_sq = sum(a * a for a in lam_rho)
+
+    pos_roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = [0] * n
+            r[i], r[j] = 1, -1
+            pos_roots.append(tuple(r))
+
+    dominants = sorted(_dominated_partitions(lam), key=_height_key, reverse=True)
+    mult: dict[tuple[int, ...], int] = {}
+    for mu in dominants:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        acc = 0
+        for alpha in pos_roots:
+            k = 1
+            while True:
+                shifted = tuple(m + k * a for m, a in zip(mu, alpha))
+                key = tuple(sorted(shifted, reverse=True))
+                m_up = mult.get(key, 0)
+                if m_up == 0:
+                    # weights of V_lam dominated by lam form a saturated set:
+                    # once we leave it along alpha we never re-enter
+                    break
+                acc += m_up * sum(s * a for s, a in zip(shifted, alpha))
+                k += 1
+        mu_rho = tuple(a + b for a, b in zip(mu, rho))
+        den = lam_rho_sq - sum(a * a for a in mu_rho)
+        assert den > 0 and (2 * acc) % den == 0
+        m = 2 * acc // den
+        if m:
+            mult[mu] = m
+
+    table: dict[tuple[int, ...], int] = {}
+    for mu, m in mult.items():
+        for w in _orbit(mu):
+            table[_canon(w)] = m
+    return table
 
 
 def peel_decompose(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:

@@ -64,6 +64,8 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             Gl3BoundParams(1.0, 2, (1, 0, 0, 0), eps=0.0)
         with pytest.raises(ValueError):
+            Gl3BoundParams(1.0, 2, (1, 0, 0, 0), eps=float("inf"))
+        with pytest.raises(ValueError):
             Gl3BoundParams(1.0, 2, (1, 0, 0, 0), theta=0.2)
         with pytest.raises(ValueError):
             Gl3BoundParams(1.0, 2, (1, 0, 0))

@@ -24,9 +24,9 @@ from satake_st.characters import (
     weight_table,
 )
 from satake_st.satake import canonicalize, coefficient
-from satake_st.weights import CoefficientIndex, DominantWeight, aleph
+from satake_st.weights import CoefficientIndex, DominantWeight, aleph, aleph_inv
 
-from oracles import eval_char_bialternant
+from oracles import eval_char_bialternant, freudenthal_weight_table
 
 
 def canon(v):
@@ -101,8 +101,11 @@ class TestWeightTable:
         mu = DominantWeight(n, parts)
         assert weight_table(mu).mass() == dim(mu)
 
-    def test_weyl_invariance(self):
-        table = weight_table(DominantWeight(3, (3, 1, 0)))
+    @pytest.mark.parametrize(
+        "n, parts", [(3, (3, 1, 0)), (4, (2, 1, 1, 0)), (5, (3, 2, 1, 0, 0))], ids=["n3", "n4", "n5"]
+    )
+    def test_weyl_invariance(self, n, parts):
+        table = weight_table(DominantWeight(n, parts))
         for w, m in table.terms.items():
             for perm in itertools.permutations(w):
                 assert table.terms[canon(perm)] == m
@@ -110,6 +113,15 @@ class TestWeightTable:
     def test_budget_guard(self):
         with pytest.raises(TermBudgetExceeded):
             weight_table(DominantWeight(3, (40, 20, 0)), budget=100)
+
+    def test_matches_freudenthal_on_every_small_constituent(self):
+        mus = set()
+        for n, d in [(2, 8), (3, 6), (4, 4), (5, 3), (6, 3)]:
+            for spec in TensorSpec.up_to_degree(n, d):
+                mus.update(tensor_decompose(spec))
+        assert len(mus) == 163
+        for mu in mus:
+            assert weight_table(mu).terms == freudenthal_weight_table(mu.n, mu.parts), mu.parts
 
 
 class TestDim:
@@ -334,6 +346,18 @@ class TestDominantPartSum:
                 l = aleph_inv(DominantWeight(3, w)).l
                 expected += c * p ** (alpha * sum(l))
         assert dominant_part_sum(spec, p, alpha) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("exps", [(2, 1, 1, 0), (0, 3, 1, 0), (1, 1, 1, 1)])
+    def test_sum_does_not_depend_on_table_order(self, exps):
+        # the oracle lists its weights in another order; both orders give the same float
+        spec = TensorSpec(3, exps)
+        for p, alpha in [(2, 7 / 64), (5, 5 / 3)]:
+            terms = [
+                c * float(p) ** (alpha * sum(aleph_inv(DominantWeight(3, w)).l))
+                for w, c in spec_table_oracle(spec).items()
+                if w[0] >= w[1] >= w[2]
+            ]
+            assert dominant_part_sum(spec, p, alpha) == math.fsum(terms[::-1])
 
 
 class TestSpecializationBound:

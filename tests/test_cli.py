@@ -245,6 +245,16 @@ class TestFailureContract:
         assert err["type"] == "FamilyValidationError"
         assert err["message"].startswith("N must be a JSON integer")
 
+    @pytest.mark.parametrize("label", [None, ["a"], 3, True], ids=["null", "list", "number", "boolean"])
+    def test_ingest_rejects_non_string_label(self, runner, tmp_path, label):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"N": 3, "members": [], "label": label}))
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "FamilyValidationError"
+        assert err["message"].startswith("label must be a JSON string")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -322,10 +332,11 @@ class TestErrorBoundary:
             (["bound", "--verify", "--p", "2", "--alpha", "nan", "--max-degree", "1"], "alpha"),
             (["bound", "--rate", "--p", "2", "--spec", "2000,0,0,0"], "out of range"),
             (["moment", "--n", "2", "--spec", "99999999,0", "--m", "10"], "budget"),
+            (["bound", "--rate", "--p", "2", "--spec", "1,0,0,0", "--t-grid", "10,100", "--eps", "inf"], "eps"),
         ],
         ids=[
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
-            "nan-alpha", "overflowing-envelope", "degree-above-budget",
+            "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
         ],
     )
     def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):

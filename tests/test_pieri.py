@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satake_st.characters import TensorSpec, TermBudgetExceeded, dim, tensor_decompose
+from satake_st.characters import TensorSpec, TermBudgetExceeded, dim, tensor_decompose, weight_table
 
-from oracles import peel_decompose
+from oracles import freudenthal_weight_table, peel_decompose
 
 
 def all_specs(n, max_degree):
@@ -42,6 +42,14 @@ class TestPieriMatchesPeeling:
     def test_rank_6_degree_8(self, exps):
         spec = TensorSpec(6, exps)
         assert tensor_decompose(spec) == peel_decompose(spec)
+
+    def test_rank_6_degree_8_constituent_tables_match_freudenthal(self):
+        mus = set()
+        for exps in [(4, 4, 0, 0, 0, 0, 0, 0, 0, 0), (0, 2, 0, 1, 2, 0, 0, 0, 3, 0)]:
+            mus.update(tensor_decompose(TensorSpec(6, exps)))
+        assert len(mus) == 91
+        for mu in mus:
+            assert weight_table(mu).terms == freudenthal_weight_table(6, mu.parts), mu.parts
 
     @settings(max_examples=40, deadline=None)
     @given(small_specs())
