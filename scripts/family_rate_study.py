@@ -28,7 +28,7 @@ def main():
 
     exps = tuple(int(v) for v in args.spec.split(","))
     grid = [float(v) for v in args.t_grid.split(",")]
-    params = Gl3BoundParams(t=1.0, p=args.p, exponents=exps, eps=args.eps)
+    params = Gl3BoundParams(p=args.p, exponents=exps, eps=args.eps)
     h = TestFunctionH.gaussian()
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w")

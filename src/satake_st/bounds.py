@@ -33,15 +33,12 @@ THETA_DEFAULT = 7.0 / 64.0
 class Gl3BoundParams:
     """Inputs of the N=3 rate bound."""
 
-    t: float
     p: int
     exponents: tuple[int, int, int, int]
     theta: float = THETA_DEFAULT
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not 1 <= self.t < math.inf:
-            raise ValueError(f"scale must be finite and >= 1, got {self.t}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:

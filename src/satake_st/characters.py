@@ -88,9 +88,14 @@ class TensorSpec:
 
     @classmethod
     def up_to_degree(cls, n: int, d: int) -> list[TensorSpec]:
-        """Every spec of rank n and degree <= d, exponent tuples in lexicographic order."""
+        """Every spec of rank n and degree <= d, exponent tuples in lexicographic order;
+        more than DEFAULT_TERM_BUDGET of them raise TermBudgetExceeded before any is listed."""
+        k = 2 * (n - 1)
+        count = math.comb(d + k, k) if d >= 0 else 0
+        if count > DEFAULT_TERM_BUDGET:
+            raise TermBudgetExceeded(f"{count} specs of rank {n} and degree <= {d} exceed budget {DEFAULT_TERM_BUDGET}")
         rows = [()]
-        for _ in range(2 * (n - 1)):
+        for _ in range(k):
             rows = [row + (e,) for row in rows for e in range(d - sum(row) + 1)]
         return [cls(n, row) for row in rows]
 
@@ -210,13 +215,9 @@ def product(
     return CharacterTable(a.n, out)
 
 
-def _trivial_table(n: int) -> CharacterTable:
-    return CharacterTable(n, {(0,) * n: 1})
-
-
 def spec_product_table(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> CharacterTable:
     """Weight table of prod_k chi_k^{i_k} chi_{N-k}^{i'_k}."""
-    table = _trivial_table(spec.n)
+    table = CharacterTable(spec.n, {(0,) * spec.n: 1})
     for w in spec.factor_weights():
         table = product(table, weight_table(w, budget), budget)
     return table
@@ -291,14 +292,39 @@ def elementary_symmetric(arr: np.ndarray) -> tuple[complex, ...] | np.ndarray:
     return tuple(complex(v) for v in out) if out.ndim == 1 else out
 
 
+def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
+    """s_lam at (..., N) eigenvalue rows for each list lam of positive parts, from one h recurrence.
+
+    h runs up to the largest lam_1 + len(lam) - 1, from the e-row by the duality
+    sum_{i=0..N} (-1)^i e_i h_{r-i} = 0 for r >= 1 (Macdonald I.2.6'); each s_lam
+    is the Jacobi-Trudi determinant det(h_{lam_i - i + j}).
+    """
+    n = arr.shape[-1]
+    r_max = max((lam[0] + len(lam) - 1 for lam in lams if lam), default=0)
+    coeffs = -_signed_e_row(arr)[:0:-1]  # (-1)^(i-1) e_i for i = N..1
+    # h[n - 1 + r] holds h_r; the n - 1 leading zeros are h_r for r < 0
+    h = np.zeros((n + r_max,) + arr.shape[:-1], dtype=np.complex128)
+    h[n - 1] = 1.0
+    for r in range(n, n + r_max):
+        h[r] = (coeffs * h[r - n : r]).sum(axis=0)
+    out = []
+    for lam in lams:
+        m = len(lam)
+        mat = np.empty(arr.shape[:-1] + (m, m), dtype=np.complex128)
+        for i in range(m):
+            for j in range(m):
+                mat[..., i, j] = h[n - 1 + lam[i] - i + j]
+        out.append(mat[..., 0, 0] if m == 1 else np.linalg.det(mat))  # 1 for the empty matrix, m = 0
+    return out
+
+
 def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
     """Schur polynomial s_mu at the eigenvalue tuple(s) alphas.
 
     Vectorized over leading axes: alphas of shape (..., N) gives a result
     of shape (...).  Jacobi-Trudi determinant in the complete homogeneous
-    basis, with h from the e-row by the duality sum_{i=0..N} (-1)^i e_i
-    h_{r-i} = 0 for r >= 1 (Macdonald I.2.6'); e_N is the product of the
-    eigenvalues, so values off SU(N) are right too.
+    basis, with h from the e-row by the h-e duality (``_schur``); e_N is the
+    product of the eigenvalues, so values off SU(N) are right too.
     """
     arr = np.asarray(alphas, dtype=np.complex128)
     n = mu.n
@@ -307,25 +333,11 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
     if not arr.all():
         raise ValueError("zero eigenvalue in character evaluation")
     lam = [p for p in mu.parts if p > 0]
-    m = len(lam)
-    r_max = lam[0] + m - 1 if lam else 0
-    coeffs = -_signed_e_row(arr)[:0:-1]  # (-1)^(i-1) e_i for i = N..1
-    # h[n - 1 + r] holds h_r; the n - 1 leading zeros are h_r for r < 0
-    h = np.zeros((n + r_max,) + arr.shape[:-1], dtype=np.complex128)
-    h[n - 1] = 1.0
-    for r in range(n, n + r_max):
-        h[r] = (coeffs * h[r - n : r]).sum(axis=0)
-    mat = np.empty(arr.shape[:-1] + (m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            mat[..., i, j] = h[n - 1 + lam[i] - i + j]
-    out = mat[..., 0, 0] if m == 1 else np.linalg.det(mat)  # 1 for the empty matrix, m = 0
+    (out,) = _schur(arr, [lam])
     return complex(out) if out.ndim == 0 else out
 
 
-def dominant_part_sum(
-    spec: TensorSpec, p: int, alpha: float, budget: int = DEFAULT_TERM_BUDGET
-) -> float:
+def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
     """Sum of product-table coefficients at dominant weights, weighted p^(alpha*|l|).
 
     |l| is the coordinate sum of the coefficient index of the weight; uses
@@ -333,7 +345,7 @@ def dominant_part_sum(
     decomposition multiplicities.  Summed by math.fsum, so the value
     depends on the table's entries and not on the order of its keys.
     """
-    table = spec_product_table(spec, budget)
+    table = spec_product_table(spec)
     return math.fsum(
         c * float(p) ** (alpha * sum(aleph_inv(DominantWeight(spec.n, w)).l))
         for w, c in table.terms.items()

@@ -71,7 +71,7 @@ def _emit(rows: list[dict], fieldnames: list[str], out: str, fmt: str, extra: di
 SEED = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 WORKERS = click.option(
     "--workers", default=1, show_default=True, type=click.IntRange(min=1),
-    help="RNG streams the draws are split across; changes the draws.",
+    help="Accepted for compatibility; does not change the draws.",
 )
 BUDGET = click.option(
     "--budget", default=characters.DEFAULT_TERM_BUDGET, show_default=True, type=click.IntRange(min=1000),
@@ -80,7 +80,7 @@ BUDGET = click.option(
 
 
 def _flags(*shared):
-    """--out, --format and the shared flags (SEED, WORKERS, BUDGET) a command reads."""
+    """--out, --format and the shared flags (SEED, WORKERS, BUDGET) a command takes."""
 
     def decorate(fn):
         for flag in (
@@ -110,7 +110,7 @@ class _JsonErrorGroup(click.Group):
             return super().invoke(ctx)
         except click.exceptions.Exit:  # --help: a RuntimeError that is not a failure
             raise
-        except (click.UsageError, ValueError, RuntimeError, OSError, ArithmeticError) as exc:
+        except (click.UsageError, ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
             _fail(exc)
 
 
@@ -144,7 +144,7 @@ def moment(n, spec_text, m, out, fmt, seed, workers, budget):
     """Monte Carlo moment of a character monomial against its exact value."""
     spec = TensorSpec(n, tuple(_parse_int_list(spec_text)))
     oracle = trivial_multiplicity(spec, budget)
-    est = mc_integrate(char_monomial(spec), n, m, RngSeed(seed), workers)
+    est = mc_integrate(char_monomial(spec), n, m, seed, workers)
     row = {
         "n": n,
         "spec": spec_text,
@@ -165,7 +165,7 @@ def moment(n, spec_text, m, out, fmt, seed, workers, budget):
 @_flags(SEED, WORKERS)
 def sample(n, m, bins, out, fmt, seed, workers):
     """Histogram of Re(chi_1) under the class measure (semicircle for N=2)."""
-    values = np.real(varrho_bank(n, m, seed, workers)[:, 0])
+    values = np.real(varrho_bank(n, m, seed)[:, 0])
     lo, hi = (-2.0, 2.0) if n == 2 else (float(values.min()), float(values.max()))
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     widths = np.diff(edges)
@@ -249,7 +249,7 @@ def bound(mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, o
         ]
     else:
         exps = tuple(_parse_int_list(spec_text))
-        params = Gl3BoundParams(t=1.0, p=primes[0], exponents=exps, theta=theta, eps=eps)
+        params = Gl3BoundParams(p=primes[0], exponents=exps, theta=theta, eps=eps)
         rows = [
             {"T": r.t, "envelope": r.envelope, "measured": "" if r.measured is None else r.measured}
             for r in rate_report(params, _parse_float_list(t_grid))
@@ -274,7 +274,7 @@ def hecke(n, m, p_text, tol, out, fmt, seed, workers):
     primes = _parse_primes(p_text)
     rng = RngSeed(seed, stream=10_000).generator()
     m1 = max(2, m // 10)
-    banks = [("T0", "", sample_bank(n, m, seed, workers))] + [
+    banks = [("T0", "", sample_bank(n, m, seed))] + [
         ("T1", p, canonicalize_batch(sampling.perturb_radial(sampling.sample_st_batch(n, m1, rng), p, rng)))
         for p in primes
     ]

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import TensorSpec, trivial_multiplicity
-from .satake import SatakeParameter, canonicalize, canonicalize_batch, coefficient, elementary_symmetric
+from .characters import TensorSpec, _schur, trivial_multiplicity
+from .satake import SatakeParameter, canonicalize, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, perturb_radial, sample_st_batch
-from .weights import CoefficientIndex, SpectralParameter, laplace_eigenvalue, laplace_eigenvalues
+from .weights import CoefficientIndex, SpectralParameter, aleph, laplace_eigenvalue, laplace_eigenvalues
 
 __all__ = [
     "TestFunctionH",
@@ -224,8 +224,7 @@ def synth_family(
     m: int,
     mode: str = "sato-tate",
     primes: tuple[int, ...] = (2,),
-    seed: int | RngSeed = 0,
-    label: str = "",
+    seed: int = 0,
 ) -> Family:
     """Synthetic family with Satake data drawn from the Haar class measure.
 
@@ -240,7 +239,7 @@ def synth_family(
         raise ValueError("family size must be >= 1")
     if mode not in ("sato-tate", "t1-perturbed"):
         raise ValueError(f"unknown synthesis mode {mode!r}")
-    rng = (seed if isinstance(seed, RngSeed) else RngSeed(int(seed))).generator()
+    rng = RngSeed(seed).generator()
 
     grid_side = max(2, math.ceil(m ** (1.0 / (n - 1))))
     # member j sits at 1 + the base-grid_side digits of j, least significant first
@@ -254,9 +253,9 @@ def synth_family(
 
     for j in range(m):
         nu = SpectralParameter(n, nus[j])
-        satake = {p: SatakeParameter(n, banks[p][j], p_hint=p) for p in primes}
+        satake = {p: SatakeParameter(n, banks[p][j]) for p in primes}
         members.append(FamilyMember(nu=nu, l1_adjoint=float(l1[j]), satake=satake))
-    return Family(n=n, members=tuple(members), label=label or f"synthetic-{mode}")
+    return Family(n=n, members=tuple(members), label=f"synthetic-{mode}")
 
 
 @dataclass(frozen=True)
@@ -413,7 +412,7 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
             if not (isinstance(vec, list) and len(vec) == n):
                 raise FamilyValidationError(f"p={p}: expected a list of {n} pairs")
             try:
-                satake[p] = canonicalize([_pair_to_complex(v) for v in vec], p_hint=p)
+                satake[p] = canonicalize([_pair_to_complex(v) for v in vec])
             except ValueError as exc:
                 raise FamilyValidationError(f"p={p}: {exc}") from exc
     member = FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
@@ -422,12 +421,14 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
 
 
 def _check_member_coherence(member: FamilyMember) -> None:
-    """Coefficients must match the character values of every stored parameter."""
+    """Coefficients must match the character values of every stored parameter
+    (``coefficient(x, idx)``, with one h recurrence per parameter for all keys)."""
     if member.coefficients is None or member.satake is None:
         return
+    lams = [[v for v in aleph(idx).parts if v > 0] for idx in member.coefficients]
     for p, x in member.satake.items():
-        for idx, val in member.coefficients.items():
-            residual = abs(val - coefficient(x, idx))
+        for (idx, val), s_lam in zip(member.coefficients.items(), _schur(x.as_array(), lams)):
+            residual = abs(val - complex(s_lam))
             if residual > CS_COHERENCE_TOL:
                 raise FamilyValidationError(
                     f"coefficient {idx.l} incoherent with the "

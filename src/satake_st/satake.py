@@ -35,7 +35,6 @@ class SatakeParameter:
 
     n: int
     alphas: tuple[complex, ...]
-    p_hint: int | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -86,13 +85,13 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     return _sort_canonical(arr * scale[..., None])
 
 
-def canonicalize(raw, p_hint: int | None = None) -> SatakeParameter:
+def canonicalize(raw) -> SatakeParameter:
     """Build the canonical representative of an eigenvalue tuple."""
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat eigenvalue tuple, got shape {arr.shape}")
     fixed = canonicalize_batch(arr)
-    return SatakeParameter(arr.shape[0], tuple(fixed), p_hint=p_hint)
+    return SatakeParameter(arr.shape[0], tuple(fixed))
 
 
 def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
@@ -101,14 +100,8 @@ def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
     return bool(np.all(mods >= 1.0 - tol) and np.all(mods <= 1.0 + tol))
 
 
-def in_T1(
-    x: SatakeParameter, p: int | None = None, refined: bool = False
-) -> bool:
+def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
     """True iff every |alpha_i| <= p^{1/2} (or the refined exponent)."""
-    if p is None:
-        p = x.p_hint
-    if p is None:
-        raise ValueError("no prime given and no p_hint on the parameter")
     exponent = 0.5 - (1.0 / (x.n**2 + 1) if refined else 0.0)
     bound = float(p) ** exponent
     return bool(np.all(np.abs(x.as_array()) <= bound))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -141,14 +142,7 @@ def aleph(idx: CoefficientIndex) -> DominantWeight:
 
     parts[i-1] = l_1 + ... + l_{N-i}; tail partial sums of the index.
     """
-    n = idx.n
-    parts = [0] * n
-    running = 0
-    # parts[n-1] = 0, parts[n-2] = l_1, ..., parts[0] = l_1 + ... + l_{n-1}
-    for i in range(n - 2, -1, -1):
-        running += idx.l[n - 2 - i]
-        parts[i] = running
-    return DominantWeight(n, tuple(parts))
+    return DominantWeight(idx.n, tuple(accumulate(idx.l))[::-1] + (0,))
 
 
 def aleph_inv(mu: DominantWeight) -> CoefficientIndex:

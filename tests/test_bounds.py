@@ -15,9 +15,9 @@ from satake_st.families import TestFunctionH, synth_family
 
 class TestPTotal:
     def test_values(self):
-        assert p_total(Gl3BoundParams(1.0, 2, (1, 0, 0, 0))) == 2.0
-        assert p_total(Gl3BoundParams(1.0, 7, (0, 0, 0, 0))) == 1.0
-        assert p_total(Gl3BoundParams(1.0, 3, (1, 1, 1, 1))) == 81.0
+        assert p_total(Gl3BoundParams(2, (1, 0, 0, 0))) == 2.0
+        assert p_total(Gl3BoundParams(7, (0, 0, 0, 0))) == 1.0
+        assert p_total(Gl3BoundParams(3, (1, 1, 1, 1))) == 81.0
 
 
 class TestEnvelopes:
@@ -60,15 +60,13 @@ class TestEnvelopes:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            Gl3BoundParams(0.5, 2, (1, 0, 0, 0))
+            Gl3BoundParams(2, (1, 0, 0, 0), eps=0.0)
         with pytest.raises(ValueError):
-            Gl3BoundParams(1.0, 2, (1, 0, 0, 0), eps=0.0)
+            Gl3BoundParams(2, (1, 0, 0, 0), eps=float("inf"))
         with pytest.raises(ValueError):
-            Gl3BoundParams(1.0, 2, (1, 0, 0, 0), eps=float("inf"))
+            Gl3BoundParams(2, (1, 0, 0, 0), theta=0.2)
         with pytest.raises(ValueError):
-            Gl3BoundParams(1.0, 2, (1, 0, 0, 0), theta=0.2)
-        with pytest.raises(ValueError):
-            Gl3BoundParams(1.0, 2, (1, 0, 0))
+            Gl3BoundParams(2, (1, 0, 0))
 
 
 class TestMultiplicityBound:
@@ -100,7 +98,7 @@ class TestMultiplicityBound:
 
 class TestRateReport:
     def test_envelope_reproduces_convergence_error(self):
-        params = Gl3BoundParams(1.0, 2, (1, 0, 1, 0), eps=0.01)
+        params = Gl3BoundParams(2, (1, 0, 1, 0), eps=0.01)
         grid = [10.0, 50.0, 250.0]
         rows = rate_report(params, grid)
         for t, row in zip(grid, rows):
@@ -109,13 +107,13 @@ class TestRateReport:
 
     def test_zero_spec_measures_zero(self):
         fam = synth_family(3, 50, seed=1)
-        params = Gl3BoundParams(1.0, 2, (0, 0, 0, 0), eps=0.01)
+        params = Gl3BoundParams(2, (0, 0, 0, 0), eps=0.01)
         rows = rate_report(params, [10.0], family=fam)
         assert rows[0].measured == 0.0
 
     def test_measured_column_with_family(self):
         fam = synth_family(3, 2000, seed=2)
-        params = Gl3BoundParams(1.0, 2, (1, 1, 0, 0), eps=0.01)
+        params = Gl3BoundParams(2, (1, 1, 0, 0), eps=0.01)
         rows = rate_report(params, [50.0], family=fam, h=TestFunctionH.gaussian())
         assert rows[0].measured is not None
         assert rows[0].measured < 0.5  # statistic near its mean 1 for a healthy family

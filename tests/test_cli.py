@@ -333,10 +333,16 @@ class TestErrorBoundary:
             (["bound", "--rate", "--p", "2", "--spec", "2000,0,0,0"], "out of range"),
             (["moment", "--n", "2", "--spec", "99999999,0", "--m", "10"], "budget"),
             (["bound", "--rate", "--p", "2", "--spec", "1,0,0,0", "--t-grid", "10,100", "--eps", "inf"], "eps"),
+            # 10^14 rows ask for more than the address space, so they fail at once
+            (["sample", "--n", "3", "--m", "100000000000000"], "allocate"),
+            (["equidist", "--n", "3", "--synth-size", "100000000000000"], "allocate"),
+            (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "200"], "specs"),
+            (["bound", "--verify", "--max-degree", "200"], "specs"),
         ],
         ids=[
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
             "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
+            "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
         ],
     )
     def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):

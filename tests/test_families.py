@@ -9,6 +9,7 @@ import pytest
 
 from satake_st.characters import TensorSpec, eval_char
 from satake_st.families import (
+    MAX_INDEX_DEGREE,
     _is_prime,
     Family,
     FamilyMember,
@@ -27,6 +28,8 @@ from satake_st.families import (
 )
 from satake_st.satake import canonicalize, coefficient, elementary_symmetric, in_T1
 from satake_st.weights import CoefficientIndex, SpectralParameter, aleph
+
+from oracles import eval_char_bialternant
 
 
 NU0 = SpectralParameter(3, (0, 0))
@@ -295,6 +298,19 @@ class TestSerialization:
         doc["members"][0]["coefficients"] = {"1000,0": [value.real, value.imag]}
         back = family_from_dict(doc)
         assert back.members[0].coefficients[CoefficientIndex(3, (1000, 0))] == value
+
+    def test_keys_spanning_every_degree_up_to_the_bound(self):
+        mem = coherent_member(seed=24)
+        alphas = mem.satake[2].as_array()
+        doc = family_to_dict(Family(3, (mem,)))
+        coeffs = doc["members"][0]["coefficients"] = {}
+        for k in range(MAX_INDEX_DEGREE + 1):
+            value = eval_char_bialternant(aleph(CoefficientIndex(3, (k - k // 2, k // 2))), alphas)
+            coeffs[f"{k - k // 2},{k // 2}"] = [value.real, value.imag]
+        assert len(family_from_dict(doc).members[0].coefficients) == MAX_INDEX_DEGREE + 1
+        coeffs["500,500"][0] += 1e-3
+        with pytest.raises(FamilyValidationError, match=r"coefficient \(500, 500\) incoherent"):
+            family_from_dict(doc)
 
     def test_rejects_coefficient_index_above_the_bound(self):
         doc = family_to_dict(Family(3, (coherent_member(seed=23),)))

@@ -101,12 +101,6 @@ class TestMembership:
         assert in_T1(x, 2, refined=False)  # sqrt(2) = 1.414...
         assert not in_T1(x, 2, refined=True)  # 2^(1/2 - 1/5) = 1.231...
 
-    def test_p_hint_used_when_prime_omitted(self):
-        x = canonicalize([2.0, 0.5], p_hint=5)
-        assert in_T1(x)
-        with pytest.raises(ValueError):
-            in_T1(canonicalize([2.0, 0.5]))
-
 
 class TestCoefficient:
     def test_normalization_exact(self):
