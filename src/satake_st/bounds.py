@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import TensorSpec, dominant_part_sum, specialization_bound_n3, trivial_multiplicity
-from .families import Family, TestFunctionH, l_functional
+from .characters import TensorSpec, dominant_part_sum, specialization_bound_n3
+from .families import Family, TestFunctionH, equidist_report
 
 __all__ = [
     "Gl3BoundParams",
@@ -116,18 +116,15 @@ def rate_report(
     """Envelope of the rate bound across a scale grid, with measured
     deviations |L_T - a_0| when a family with N=3 data is supplied."""
     p_big = p_total(params)
-    spec = params.spec()
-    oracle = trivial_multiplicity(spec) if family is not None else None
-    if family is not None and h is None:
-        h = TestFunctionH.gaussian()
-    rows = []
-    for t in t_grid:
+    ts = [float(t) for t in t_grid]
+    for t in ts:
         if not 1 <= t < math.inf:
             raise ValueError(f"scale must be finite and >= 1, got {t}")
-        envelope = convergence_error(float(t), p_big, params.theta, params.eps)
-        measured = None
-        if family is not None:
-            stat = l_functional(family, params.p, spec, h, float(t))
-            measured = abs(stat - oracle)
-        rows.append(RateRow(t=float(t), envelope=envelope, measured=measured))
-    return rows
+    measured = [None] * len(ts)
+    if family is not None:
+        rows = equidist_report(family, params.p, [params.spec()], h or TestFunctionH.gaussian(), ts)
+        measured = [r.difference for r in rows]
+    return [
+        RateRow(t=t, envelope=convergence_error(t, p_big, params.theta, params.eps), measured=d)
+        for t, d in zip(ts, measured)
+    ]

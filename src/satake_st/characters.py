@@ -3,10 +3,11 @@
 Weight multiplicities come from the branching rule in integer arithmetic
 (Macdonald I.5.11: peel off one variable over every horizontal strip);
 tensor products of fundamental modules are decomposed by the iterated
-Pieri rule on partitions, with no weight tables; numeric character values
-use the Jacobi-Trudi determinant with complete homogeneous symmetric
-functions h_r, taken from the e-row by the h-e duality (finite at
-coincident eigenvalues, unlike the bialternant ratio).
+Pieri rule on partitions, with no weight tables, and the bound sweep's
+dominant sums are those Pieri multiplicities times branching-rule table
+entries; numeric character values use the Jacobi-Trudi determinant with
+complete homogeneous symmetric functions h_r, taken from the e-row by the
+h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weights import DominantWeight, WeightVector, aleph_inv
+from .weights import DominantWeight, WeightVector
 
 __all__ = [
     "CharacterTable",
@@ -338,19 +339,19 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
-    """Sum of product-table coefficients at dominant weights, weighted p^(alpha*|l|).
+    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|).
 
-    |l| is the coordinate sum of the coefficient index of the weight; uses
-    the raw product-table coefficients, an upper bound for the
-    decomposition multiplicities.  Summed by math.fsum, so the value
-    depends on the table's entries and not on the order of its keys.
+    c_w = sum_lam a_lam K_{lam,w}, from the Pieri multiplicities and the
+    branching-rule tables; an upper bound for the decomposition
+    multiplicities.  |l| = w[0] for a canonical dominant w.  Summed by
+    math.fsum, so the value depends only on the integer coefficients.
     """
-    table = spec_product_table(spec)
-    return math.fsum(
-        c * float(p) ** (alpha * sum(aleph_inv(DominantWeight(spec.n, w)).l))
-        for w, c in table.terms.items()
-        if all(x >= y for x, y in zip(w, w[1:]))
-    )
+    coeffs: dict[tuple[int, ...], int] = {}
+    for lam, a in tensor_decompose(spec).items():
+        for w, k in weight_table(lam).terms.items():
+            if all(x >= y for x, y in zip(w, w[1:])):
+                coeffs[w] = coeffs.get(w, 0) + a * k
+    return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
 
 
 def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:

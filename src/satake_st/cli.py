@@ -32,19 +32,18 @@ def _fail(exc: BaseException, code: int = 2):
     sys.exit(code)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def _parse_list(text: str, kind) -> list:
+    items = text.split(",")
+    if "" in items:
+        raise ValueError(f"comma list {text!r} has an empty item")
+    return [kind(v) for v in items]
 
 
 def _parse_primes(text: str) -> list[int]:
-    primes = _parse_int_list(text)
-    if not primes or not all(_is_prime(p) for p in primes):
+    items = text.split(",")
+    if "" in items or not all(_is_prime(int(v)) for v in items):
         raise ValueError(f"--p must be a comma list of primes, got {text!r}")
-    return primes
+    return [int(v) for v in items]
 
 
 def _emit(rows: list[dict], fieldnames: list[str], out: str, fmt: str, extra: dict | None = None):
@@ -125,7 +124,7 @@ def cli():
 @_flags(BUDGET)
 def decompose(n, spec_text, out, fmt, budget):
     """Decompose the tensor product encoded by --spec into irreducibles."""
-    dec = tensor_decompose(TensorSpec(n, tuple(_parse_int_list(spec_text))), budget)
+    dec = tensor_decompose(TensorSpec(n, tuple(_parse_list(spec_text, int))), budget)
     rows = [
         {"mu": " ".join(str(v) for v in mu.parts), "multiplicity": a, "dim": dim(mu)}
         for mu, a in sorted(dec.items(), key=lambda kv: kv[0].parts, reverse=True)
@@ -142,7 +141,7 @@ def decompose(n, spec_text, out, fmt, budget):
 @_flags(SEED, WORKERS, BUDGET)
 def moment(n, spec_text, m, out, fmt, seed, workers, budget):
     """Monte Carlo moment of a character monomial against its exact value."""
-    spec = TensorSpec(n, tuple(_parse_int_list(spec_text)))
+    spec = TensorSpec(n, tuple(_parse_list(spec_text, int)))
     oracle = trivial_multiplicity(spec, budget)
     est = mc_integrate(char_monomial(spec), n, m, seed, workers)
     row = {
@@ -219,7 +218,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
             "abs_diff": r.difference,
             "gl3_error_bound": "" if r.gl3_bound is None else r.gl3_bound,
         }
-        for r in equidist_report(fam, p, specs, h, _parse_float_list(t_grid))
+        for r in equidist_report(fam, p, specs, h, _parse_list(t_grid, float))
     ]
     fields = ["spec", "T", "estimate_re", "estimate_im", "std_error", "oracle", "abs_diff", "gl3_error_bound"]
     _emit(rows, fields, out, fmt)
@@ -244,15 +243,15 @@ def bound(mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, o
         rows = [
             dict(zip(fields, (*r.exponents, p, alpha, r.exact_sum, r.closed_bound)))
             for p in primes
-            for alpha in _parse_float_list(alpha_text)
+            for alpha in _parse_list(alpha_text, float)
             for r in verify_multiplicity_bound(p, alpha, max_degree)
         ]
     else:
-        exps = tuple(_parse_int_list(spec_text))
+        exps = tuple(_parse_list(spec_text, int))
         params = Gl3BoundParams(p=primes[0], exponents=exps, theta=theta, eps=eps)
         rows = [
             {"T": r.t, "envelope": r.envelope, "measured": "" if r.measured is None else r.measured}
-            for r in rate_report(params, _parse_float_list(t_grid))
+            for r in rate_report(params, _parse_list(t_grid, float))
         ]
         fields = ["T", "envelope", "measured"]
     _emit(rows, fields, out, fmt)

@@ -13,6 +13,7 @@ import cmath
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -457,9 +458,18 @@ def family_to_dict(family: Family) -> dict:
     return {"N": family.n, "label": family.label, "members": out_members}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key raises (plain json keeps the last value)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        repeated = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise FamilyValidationError(f"duplicate key {repeated!r} in a JSON object")
+    return obj
+
+
 def load_family(path) -> Family:
     with open(path) as fh:
-        return family_from_dict(json.load(fh))
+        return family_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def save_family(family: Family, path) -> None:

@@ -10,7 +10,8 @@ from satake_st.bounds import (
     rate_report,
     verify_multiplicity_bound,
 )
-from satake_st.families import TestFunctionH, synth_family
+from satake_st.characters import trivial_multiplicity
+from satake_st.families import TestFunctionH, l_functional, synth_family
 
 
 class TestPTotal:
@@ -117,3 +118,21 @@ class TestRateReport:
         rows = rate_report(params, [50.0], family=fam, h=TestFunctionH.gaussian())
         assert rows[0].measured is not None
         assert rows[0].measured < 0.5  # statistic near its mean 1 for a healthy family
+
+    def test_measured_column_equals_l_functional(self):
+        fam = synth_family(3, 500, seed=3)
+        params = Gl3BoundParams(2, (1, 1, 0, 0), eps=0.01)
+        h = TestFunctionH.gaussian()
+        grid = [10.0, 30.0, 100.0]
+        a0 = trivial_multiplicity(params.spec())
+        rows = rate_report(params, grid, family=fam, h=h)
+        assert [r.t for r in rows] == grid
+        for t, row in zip(grid, rows):
+            assert row.measured == abs(l_functional(fam, params.p, params.spec(), h, t) - a0)
+
+    def test_generator_grid_gives_the_same_rows(self):
+        fam = synth_family(3, 200, seed=4)
+        params = Gl3BoundParams(2, (1, 0, 0, 0), eps=0.01)
+        grid = [10.0, 30.0, 100.0]
+        assert rate_report(params, (t for t in grid), family=fam) == rate_report(params, grid, family=fam)
+        assert rate_report(params, iter(grid)) == rate_report(params, grid)

@@ -359,6 +359,30 @@ class TestDominantPartSum:
             ]
             assert dominant_part_sum(spec, p, alpha) == math.fsum(terms[::-1])
 
+    @pytest.mark.parametrize(
+        "n, degree, points",
+        [
+            (3, 4, [(p, alpha) for p in (2, 3, 5) for alpha in (7 / 64, 0.5, 5 / 3)]),
+            (4, 3, [(2, 7 / 64), (5, 5 / 3)]),
+        ],
+        ids=["n3", "n4"],
+    )
+    def test_equals_oracle_product_table(self, n, degree, points):
+        # the oracle convolves exterior-power tables; the library never builds a product table
+        for spec in all_specs(n, degree):
+            dominant = [
+                (c, sum(aleph_inv(DominantWeight(n, w)).l))
+                for w, c in spec_table_oracle(spec).items()
+                if all(x >= y for x, y in zip(w, w[1:]))
+            ]
+            for p, alpha in points:
+                expected = math.fsum(c * float(p) ** (alpha * l) for c, l in dominant)
+                assert dominant_part_sum(spec, p, alpha) == expected, (spec, p, alpha)
+
+    def test_degree_above_budget_fails_at_once(self):
+        with pytest.raises(TermBudgetExceeded):
+            dominant_part_sum(TensorSpec(3, (10**6 + 1, 0, 0, 0)), 2, 0.5)
+
 
 class TestSpecializationBound:
     def test_closed_form_values(self):

@@ -256,6 +256,28 @@ class TestFailureContract:
         assert err["message"].startswith("label must be a JSON string")
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"N": 3, "N": 4, "members": []}', "N"),
+            ('{"N": 3, "members": [{"nu": [[0, 1], [0, 1]], "L1Ad": 1,'
+             ' "satake": {"2": [[1, 0], [1, 0], [1, 0]], "2": [[1, 0], [-1, 0], [-1, 0]]}}]}', "2"),
+            ('{"N": 3, "members": [{"nu": [[0, 1], [0, 1]], "L1Ad": 1,'
+             ' "satake": {"2": [[1, 0], [1, 0], [1, 0]]}, "coefficients": {"1,0": [123, 0], "1,0": [1.5, 0]}}]}', "1,0"),
+        ],
+        ids=["top-level-rank", "satake-prime", "coefficient-index"],
+    )
+    def test_ingest_rejects_duplicate_keys(self, runner, tmp_path, text, key):
+        # plain json.load keeps the last value, so each of these loaded without error
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "FamilyValidationError"
+        assert repr(key) in err["message"]
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["equidist", "--n", "1", "--synth-size", "10"],
@@ -338,11 +360,15 @@ class TestErrorBoundary:
             (["equidist", "--n", "3", "--synth-size", "100000000000000"], "allocate"),
             (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "200"], "specs"),
             (["bound", "--verify", "--max-degree", "200"], "specs"),
+            (["decompose", "--n", "3", "--spec", "1,,1,0,0"], "empty item"),
+            (["equidist", "--n", "3", "--synth-size", "10", "--t-grid", ""], "empty item"),
+            (["bound", "--verify", "--alpha", "", "--max-degree", "1"], "empty item"),
         ],
         ids=[
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
             "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
             "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
+            "spec-empty-item", "empty-t-grid", "empty-alpha",
         ],
     )
     def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):
