@@ -217,10 +217,11 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
             "oracle": r.oracle,
             "abs_diff": r.difference,
             "gl3_error_bound": "" if r.gl3_bound is None else r.gl3_bound,
+            "ess": r.ess,
         }
         for r in equidist_report(fam, p, specs, h, _parse_list(t_grid, float))
     ]
-    fields = ["spec", "T", "estimate_re", "estimate_im", "std_error", "oracle", "abs_diff", "gl3_error_bound"]
+    fields = ["spec", "T", "estimate_re", "estimate_im", "std_error", "oracle", "abs_diff", "gl3_error_bound", "ess"]
     _emit(rows, fields, out, fmt)
 
 

@@ -14,12 +14,13 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import TensorSpec, _schur, trivial_multiplicity
-from .satake import SatakeParameter, canonicalize, canonicalize_batch, elementary_symmetric
+from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, perturb_radial, sample_st_batch
 from .weights import CoefficientIndex, SpectralParameter, aleph, laplace_eigenvalue, laplace_eigenvalues
 
@@ -133,9 +134,14 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class Family:
+    """A family and its members are values: they are not mutated after
+    construction, so the columns derived from the members are built once."""
+
     n: int
     members: tuple[FamilyMember, ...]
     label: str = ""
+    # read-only per-member columns, filled on first use: "lam", "l1" and ("e", p)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -169,16 +175,33 @@ def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, flo
     return mean, se
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _kish_ess(weights: np.ndarray) -> float:
+    """Kish's effective sample size (sum w)^2 / sum w^2, from the normalised
+    weights so that tiny weights do not underflow when squared."""
+    q = weights / weights.sum()
+    return float(1.0 / (q * q).sum())
+
+
 def _weight_columns(family: Family, h: TestFunctionH, t_grid) -> list[np.ndarray]:
     """The weight of every member, one array per scale in t_grid."""
-    lam = laplace_eigenvalues(family.n, [mem.nu.nu for mem in family.members]).real
-    l1 = np.array([mem.l1_adjoint for mem in family.members], dtype=float)
-    return [h.evaluate(lam, float(t)) / l1 for t in t_grid]
+    cols = family._columns
+    if "lam" not in cols:
+        cols["lam"] = _read_only(laplace_eigenvalues(family.n, [mem.nu.nu for mem in family.members]).real)
+        cols["l1"] = _read_only(np.array([mem.l1_adjoint for mem in family.members], dtype=float))
+    return [h.evaluate(cols["lam"], float(t)) / cols["l1"] for t in t_grid]
 
 
 def _e_columns(family: Family, p: int) -> np.ndarray:
     """(m, N-1) columns of e_k at p: from each member's Satake parameter at p,
     else from its stored A[k] = e_k, with NaN for an A[k] it lacks."""
+    key = ("e", p)
+    if key in family._columns:
+        return family._columns[key]
     n = family.n
     units = [CoefficientIndex.unit(n, n - k) for k in range(1, n)]  # A[k]: p in slot N-k
     no_satake = (np.nan,) * n
@@ -186,6 +209,7 @@ def _e_columns(family: Family, p: int) -> np.ndarray:
     e = elementary_symmetric(np.array(alphas, dtype=np.complex128).reshape(-1, n))
     for i in np.flatnonzero(np.isnan(e[:, 0])):
         e[i] = [(family.members[i].coefficients or {}).get(idx, np.nan) for idx in units]
+    family._columns[key] = _read_only(e)
     return e
 
 
@@ -267,6 +291,7 @@ class EquidistRow:
     std_error: float
     oracle: int
     gl3_bound: float | None
+    ess: float = math.nan  # Kish's effective sample size (sum w)^2 / sum w^2 at scale t
 
     @property
     def difference(self) -> float:
@@ -284,6 +309,8 @@ def equidist_report(
     without a Satake parameter at p needs a stored A[k] for every k some spec uses."""
     from .bounds import THETA_DEFAULT, Gl3BoundParams, convergence_error
 
+    if len(family) == 0:
+        raise FamilyValidationError("empty family")
     weight_columns = _weight_columns(family, h, t_grid)
     e = _e_columns(family, p)
     rows = []
@@ -300,6 +327,7 @@ def equidist_report(
                 EquidistRow(
                     spec=spec, t=float(t), estimate=mean, std_error=se,
                     oracle=oracle, gl3_bound=bound,
+                    ess=_kish_ess(weights),
                 )
             )
     return rows
@@ -353,7 +381,15 @@ def _pair_to_complex(pair) -> complex:
 
 
 def family_from_dict(data: dict) -> Family:
-    """Parse and validate the family JSON document."""
+    """Parse and validate the family JSON document.
+
+    Each member's structure is parsed in file order; the numeric checks then
+    run in batches, each over the members before the earliest fault found so
+    far: one canonicalize_batch per prime, and one Schur evaluation per group
+    of members that share a prime and a tuple of coefficient keys.  A faulty
+    document is reported at its lowest-numbered faulty member, with the first
+    fault in that member's own field order.
+    """
     if not isinstance(data, dict):
         raise FamilyValidationError("family document must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -371,17 +407,37 @@ def family_from_dict(data: dict) -> Family:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
-    members = []
+    # a fault is (member, where in that member, error); a structural fault
+    # sits after the member's Satake rows parsed before it
+    members, rows, fault = [], [], None
     for pos, raw in enumerate(raw_members):
+        first_row = len(rows)
         try:
-            members.append(_member_from_dict(raw, n))
+            members.append(_member_from_dict(raw, n, pos, rows))
         except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
-            raise FamilyValidationError(f"member {pos}: {exc}") from exc
+            fault = (pos, len(rows) - first_row, exc)
+            break
+    fault = _canonicalize_rows(n, rows, fault)
+    fault = _coherence_fault(members[: fault[0] if fault else None]) or fault
+    if fault:
+        pos, _, exc = fault
+        raise FamilyValidationError(f"member {pos}: {exc}") from exc
     return Family(n=n, members=tuple(members), label=label)
 
 
-def _member_from_dict(raw, n: int) -> FamilyMember:
-    """One member of the family document; any malformed field raises ValueError."""
+class _SatakeRow(NamedTuple):
+    """One Satake entry of the document, canonicalised later into ``satake[p]``."""
+
+    member: int
+    index: int  # position among the member's Satake keys
+    satake: dict
+    p: int
+    alphas: list[complex]
+
+
+def _member_from_dict(raw, n: int, pos: int, rows: list[_SatakeRow]) -> FamilyMember:
+    """One member's structure, with its Satake entries appended to rows
+    (not yet canonicalised); any malformed field raises ValueError."""
     if not isinstance(raw, dict):
         raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
     unknown = set(raw) - set(_MEMBER_KEYS)
@@ -413,28 +469,76 @@ def _member_from_dict(raw, n: int) -> FamilyMember:
             if not (isinstance(vec, list) and len(vec) == n):
                 raise FamilyValidationError(f"p={p}: expected a list of {n} pairs")
             try:
-                satake[p] = canonicalize([_pair_to_complex(v) for v in vec])
+                alphas = [_pair_to_complex(v) for v in vec]
             except ValueError as exc:
                 raise FamilyValidationError(f"p={p}: {exc}") from exc
-    member = FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
-    _check_member_coherence(member)
-    return member
+            rows.append(_SatakeRow(pos, len(satake), satake, p, alphas))
+            satake[p] = None  # holds the file's key order until the row is canonicalised
+    return FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
 
 
-def _check_member_coherence(member: FamilyMember) -> None:
-    """Coefficients must match the character values of every stored parameter
-    (``coefficient(x, idx)``, with one h recurrence per parameter for all keys)."""
-    if member.coefficients is None or member.satake is None:
-        return
-    lams = [[v for v in aleph(idx).parts if v > 0] for idx in member.coefficients]
-    for p, x in member.satake.items():
-        for (idx, val), s_lam in zip(member.coefficients.items(), _schur(x.as_array(), lams)):
-            residual = abs(val - complex(s_lam))
+def _canonicalize_rows(n: int, rows: list[_SatakeRow], fault):
+    """Canonicalise the rows before the fault into their members' dicts, one
+    canonicalize_batch per prime; returns the earliest fault, these rows' included."""
+    while True:
+        live = [row for row in rows if fault is None or (row.member, row.index) < fault[:2]]
+        by_prime: dict[int, list[_SatakeRow]] = {}
+        for row in live:
+            by_prime.setdefault(row.p, []).append(row)
+        fixed, found = {}, None
+        for p, group in by_prime.items():
+            try:
+                fixed[p] = iter(canonicalize_batch([row.alphas for row in group]).tolist())
+            except ValueError:
+                # the failure path: the first row of this prime that fails alone
+                for row in group:
+                    try:
+                        canonicalize_batch(row.alphas)
+                    except ValueError as exc:
+                        if found is None or (row.member, row.index) < found[:2]:
+                            found = (row.member, row.index, FamilyValidationError(f"p={p}: {exc}"))
+                        break
+        if found is None:
+            break
+        fault = found  # and batch again over the rows before it, which all pass
+    for row in live:  # in file order, as each prime's batch
+        try:
+            row.satake[row.p] = SatakeParameter(n, next(fixed[row.p]))
+        except ValueError as exc:
+            return (row.member, row.index, FamilyValidationError(f"p={row.p}: {exc}"))
+    return fault
+
+
+def _coherence_fault(members: list[FamilyMember]):
+    """The first coefficient, in member, prime and key order, that misses the
+    character value ``coefficient(x, idx)`` of a stored parameter by more than
+    CS_COHERENCE_TOL, as a fault; one _schur call (one h recurrence) per group
+    of members that share a prime and a tuple of coefficient keys."""
+    groups: dict[tuple, list[int]] = {}
+    for pos, mem in enumerate(members):
+        if mem.coefficients and mem.satake:
+            for p in mem.satake:
+                groups.setdefault((p, tuple(mem.coefficients)), []).append(pos)
+    first = None
+    for (p, keys), positions in groups.items():
+        lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
+        alphas = np.array([members[j].satake[p].alphas for j in positions])
+        vals = np.array([list(members[j].coefficients.values()) for j in positions])
+        chars = np.stack(_schur(alphas, lams), axis=-1)
+        # numpy's complex abs may differ from Python's in the last bit: screen
+        # with a margin, then decide and report with abs() on the scalars
+        for g, k in np.argwhere(np.abs(vals - chars) > CS_COHERENCE_TOL * (1 - 1e-9)):
+            residual = abs(complex(vals[g, k]) - complex(chars[g, k]))
             if residual > CS_COHERENCE_TOL:
-                raise FamilyValidationError(
-                    f"coefficient {idx.l} incoherent with the "
-                    f"parameter at p={p} (residual {residual:.3g})"
-                )
+                j = positions[g]
+                where = (list(members[j].satake).index(p), int(k))
+                if first is None or (j, where) < first[:2]:
+                    first = (j, where, FamilyValidationError(
+                        f"coefficient {keys[k].l} incoherent with the "
+                        f"parameter at p={p} (residual {residual:.3g})"
+                    ))
+                break
+    return first
 
 
 def family_to_dict(family: Family) -> dict:
@@ -473,5 +577,7 @@ def load_family(path) -> Family:
 
 
 def save_family(family: Family, path) -> None:
+    # json.dumps takes the C encoder; json.dump streams through the pure-Python one
+    text = json.dumps(family_to_dict(family))
     with open(path, "w") as fh:
-        json.dump(family_to_dict(family), fh)
+        fh.write(text)

@@ -10,7 +10,9 @@ None of these is used by the library itself:
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
   alternants (distinct eigenvalues only);
 - ``sample_st_rejection`` draws SU(2) or SU(3) conjugacy classes by
-  rejection against the Weyl density.
+  rejection against the Weyl density;
+- ``family_from_dict_per_member`` loads a family document one member at a
+  time, canonicalising and coherence-checking each member before the next.
 """
 
 import itertools
@@ -21,11 +23,24 @@ from satake_st.characters import (
     DEFAULT_TERM_BUDGET,
     TensorSpec,
     _canon,
+    _schur,
     spec_product_table,
     weight_table,
 )
-from satake_st.satake import canonicalize_batch
-from satake_st.weights import DominantWeight
+from satake_st.families import (
+    _MEMBER_KEYS,
+    _TOP_KEYS,
+    CS_COHERENCE_TOL,
+    MAX_INDEX_DEGREE,
+    Family,
+    FamilyMember,
+    FamilyValidationError,
+    _decimal,
+    _is_prime,
+    _pair_to_complex,
+)
+from satake_st.satake import canonicalize, canonicalize_batch
+from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, aleph
 
 
 def _height_key(coords: tuple[int, ...]) -> tuple:
@@ -183,3 +198,88 @@ def sample_st_rejection(n: int, count: int, rng: np.random.Generator) -> np.ndar
         rows.append(eigs[keep])
         have += int(keep.sum())
     return canonicalize_batch(np.concatenate(rows, axis=0)[:count])
+
+
+def family_from_dict_per_member(data: dict) -> Family:
+    """Parse and validate the family JSON document one member at a time."""
+    if not isinstance(data, dict):
+        raise FamilyValidationError("family document must be a JSON object")
+    unknown = set(data) - _TOP_KEYS
+    if unknown:
+        raise FamilyValidationError(f"unknown top-level fields: {sorted(unknown)}")
+    try:
+        n = data["N"]
+        raw_members = data["members"]
+    except KeyError as exc:
+        raise FamilyValidationError(f"missing required field {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise FamilyValidationError(f"N must be a JSON integer, got {n!r}")
+    if n < 2 or not isinstance(raw_members, list):
+        raise FamilyValidationError("need N >= 2 and a JSON array of members")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
+    members = []
+    for pos, raw in enumerate(raw_members):
+        try:
+            members.append(_member_from_dict(raw, n))
+        except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
+            raise FamilyValidationError(f"member {pos}: {exc}") from exc
+    return Family(n=n, members=tuple(members), label=label)
+
+
+def _member_from_dict(raw, n: int) -> FamilyMember:
+    """One member of the family document; any malformed field raises ValueError."""
+    if not isinstance(raw, dict):
+        raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
+    unknown = set(raw) - set(_MEMBER_KEYS)
+    if unknown:
+        raise FamilyValidationError(f"unknown fields {sorted(unknown)}")
+    missing = sorted({"nu", "L1Ad"} - set(raw))
+    if missing:
+        raise FamilyValidationError(f"missing fields {missing}")
+    wrong = sorted(key for key, kind in _MEMBER_KEYS.items()
+                   if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)))
+    if wrong:
+        raise FamilyValidationError(f"wrong JSON type for {wrong}")
+    nu = SpectralParameter(n, tuple(_pair_to_complex(v) for v in raw["nu"]))
+    coeffs = None
+    if "coefficients" in raw:
+        coeffs = {}
+        for key, pair in raw["coefficients"].items():
+            l = tuple(_decimal(v) for v in key.split(","))
+            if sum(l) > MAX_INDEX_DEGREE:
+                raise FamilyValidationError(f"coefficient index {key!r}: |l| = {sum(l)} exceeds {MAX_INDEX_DEGREE}")
+            coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
+    satake = None
+    if "satake" in raw:
+        satake = {}
+        for key, vec in raw["satake"].items():
+            p = _decimal(key)
+            if not _is_prime(p):
+                raise FamilyValidationError(f"key {key!r} is not prime")
+            if not (isinstance(vec, list) and len(vec) == n):
+                raise FamilyValidationError(f"p={p}: expected a list of {n} pairs")
+            try:
+                satake[p] = canonicalize([_pair_to_complex(v) for v in vec])
+            except ValueError as exc:
+                raise FamilyValidationError(f"p={p}: {exc}") from exc
+    member = FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
+    _check_member_coherence(member)
+    return member
+
+
+def _check_member_coherence(member: FamilyMember) -> None:
+    """Coefficients must match the character values of every stored parameter
+    (``coefficient(x, idx)``, with one h recurrence per parameter for all keys)."""
+    if member.coefficients is None or member.satake is None:
+        return
+    lams = [[v for v in aleph(idx).parts if v > 0] for idx in member.coefficients]
+    for p, x in member.satake.items():
+        for (idx, val), s_lam in zip(member.coefficients.items(), _schur(x.as_array(), lams)):
+            residual = abs(val - complex(s_lam))
+            if residual > CS_COHERENCE_TOL:
+                raise FamilyValidationError(
+                    f"coefficient {idx.l} incoherent with the "
+                    f"parameter at p={p} (residual {residual:.3g})"
+                )

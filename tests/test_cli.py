@@ -107,6 +107,15 @@ class TestEquidist:
         assert float(zero["abs_diff"]) == 0.0
         assert all(r["gl3_error_bound"] != "" for r in rows)
 
+    def test_ess_is_the_last_column(self, runner):
+        args = ["equidist", "--n", "3", "--p", "2", "--synth-size", "200", "--max-degree", "1", "--t-grid", "10,1000"]
+        lines = runner.invoke(cli, args).output.splitlines()
+        assert lines[0].endswith(",gl3_error_bound,ess")
+        rows = json.loads(runner.invoke(cli, args + ["--format", "json"]).output)["rows"]
+        assert list(rows[0])[-1] == "ess"
+        # at T = 1000 every Gaussian weight is about 1 / L(1, Ad): the ESS is near, and at most, m
+        assert all(1.0 <= r["ess"] <= 200.0 for r in rows)
+
     def test_requires_exactly_one_source(self, runner):
         result = runner.invoke(cli, ["equidist", "--n", "3", "--p", "2"])
         assert result.exit_code != 0
@@ -234,6 +243,24 @@ class TestFailureContract:
         err = json.loads(result.stderr)["error"]
         assert err["type"] == "FamilyValidationError"
         assert err["message"].startswith("member 0: ")
+
+    def test_equidist_names_an_empty_family(self, runner, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"N": 3, "members": []}))
+        result = runner.invoke(cli, ["equidist", "--n", "3", "--family", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == {"type": "FamilyValidationError", "message": "empty family"}
+
+    def test_ingest_reports_the_lowest_numbered_faulty_member(self, runner, tmp_path):
+        fam = synth_family(3, 3, primes=(2,), seed=5)
+        doc = family_to_dict(fam)
+        doc["members"][1]["coefficients"] = {"1,0": [99.0, 0.0]}
+        doc["members"][2]["L1Ad"] = -1.0
+        path = tmp_path / "two-faults.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["ingest", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["message"].startswith("member 1: coefficient (1, 0) incoherent")
 
     @pytest.mark.parametrize("rank", [3.7, True, "3", None], ids=["fractional", "boolean", "string", "null"])
     def test_ingest_rejects_non_integer_rank(self, runner, tmp_path, rank):

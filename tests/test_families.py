@@ -6,7 +6,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satake_st import families
+from satake_st.bounds import Gl3BoundParams, rate_report
 from satake_st.characters import TensorSpec, eval_char
 from satake_st.families import (
     MAX_INDEX_DEGREE,
@@ -29,7 +33,7 @@ from satake_st.families import (
 from satake_st.satake import canonicalize, coefficient, elementary_symmetric, in_T1
 from satake_st.weights import CoefficientIndex, SpectralParameter, aleph
 
-from oracles import eval_char_bialternant
+from oracles import eval_char_bialternant, family_from_dict_per_member
 
 
 NU0 = SpectralParameter(3, (0, 0))
@@ -428,3 +432,194 @@ class TestIsPrime:
         assert not any(_is_prime(n) for n in composites)
         assert _is_prime(2**61 - 1) and _is_prime(10**18 + 3)
         assert time.perf_counter() - start < 1.0
+
+
+class TestColumnsBuiltOnce:
+    def test_repeated_reports_equal_a_fresh_family(self):
+        fam = mixed_family()
+        h = TestFunctionH.gaussian()
+        first = equidist_report(fam, 2, MIXED_SPECS, h, [10.0, 25.0])
+        second = equidist_report(fam, 2, MIXED_SPECS, h, [10.0, 25.0])
+        fresh = equidist_report(Family(fam.n, fam.members, fam.label), 2, MIXED_SPECS, h, [10.0, 25.0])
+        assert first == second == fresh
+
+    def test_columns_are_built_once_and_read_only(self):
+        fam = synth_family(3, 50, primes=(2, 3), seed=25)
+        e = families._e_columns(fam, 3)
+        assert families._e_columns(fam, 3) is e
+        families._weight_columns(fam, TestFunctionH.gaussian(), [10.0])
+        for column in (e, fam._columns["lam"], fam._columns["l1"]):
+            assert not column.flags.writeable
+
+
+class TestEffectiveSampleSize:
+    def test_equal_weights_give_the_family_size(self):
+        mem = coherent_member(seed=26)
+        fam = Family(3, (mem,) * 40)
+        rows = equidist_report(fam, 2, [TensorSpec(3, (1, 0, 0, 0))], TestFunctionH.gaussian(), [10.0, 100.0])
+        assert [r.ess for r in rows] == pytest.approx([40.0, 40.0], rel=1e-12)
+
+    def test_one_nonzero_weight_gives_one(self):
+        far = FamilyMember(nu=SpectralParameter(3, (100j, 100j)), l1_adjoint=1.0, satake=coherent_member(seed=27).satake)
+        fam = Family(3, (far, coherent_member(seed=28), far))
+        (row,) = equidist_report(fam, 2, [TensorSpec(3, (1, 1, 0, 0))], TestFunctionH.indicator(), [2.0])
+        assert row.ess == 1.0
+
+
+class TestEmptyFamily:
+    def test_report_and_rate_name_the_empty_family(self):
+        empty = Family(3, ())
+        with pytest.raises(FamilyValidationError, match="^empty family$"):
+            equidist_report(empty, 2, [TensorSpec(3, (0, 0, 0, 0))], TestFunctionH.gaussian(), [10.0])
+        with pytest.raises(FamilyValidationError, match="^empty family$"):
+            rate_report(Gl3BoundParams(2, (1, 0, 0, 0)), [10.0], family=empty)
+
+
+# --- the batched loader against the member-by-member oracle -------------------
+
+BAD_PAIRS = [["x", 0.0], [1.0], [10**400, 0.0]]  # 10**400 overflows a float
+FAULT_KINDS = [
+    "short nu", "unknown field", "missing L1Ad", "non-prime key", "short entry", "bad Satake pair",
+    "bad coefficient pair", "zero entry", "product", "L1Ad", "c0", "incoherent",
+]
+
+
+def pair(z):
+    return [z.real, z.imag]
+
+
+def same_bits(a, b):
+    """Bitwise equality of two loaded families, down to key order and signed zeros."""
+    def bits(z):
+        return (float(z.real).hex(), float(z.imag).hex())
+
+    def member(mem):
+        return (
+            [bits(v) for v in mem.nu.nu],
+            float(mem.l1_adjoint).hex(),
+            None if mem.coefficients is None else [(idx.l, bits(v)) for idx, v in mem.coefficients.items()],
+            None if mem.satake is None else [(p, [bits(v) for v in x.alphas]) for p, x in mem.satake.items()],
+        )
+
+    return (a.n, a.label, [member(m) for m in a.members]) == (b.n, b.label, [member(m) for m in b.members])
+
+
+@st.composite
+def faulty_documents(draw):
+    """Coherent documents of up to six members with heterogeneous coefficient
+    keys and prime sets, then up to three faults in random members."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = [l for l in itertools.product(range(3), repeat=n - 1) if sum(l) <= 2]
+    zero_key = ",".join(["0"] * (n - 1))
+
+    def entries(x):  # permuted, product off 1 by up to 1e-8: rescaled on load
+        alphas = rng.permutation(x.as_array()) * np.append(1 + rng.uniform(-1e-8, 1e-8), np.ones(n - 1))
+        return [pair(a) for a in alphas]
+
+    members, params = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        z = np.exp(rng.normal(scale=0.3, size=n - 1) + 1j * rng.uniform(0, 2 * np.pi, size=n - 1))
+        x = canonicalize(np.append(z, 1 / np.prod(z)))
+        raw = {"nu": [[0.0, float(v)] for v in rng.uniform(1, 20, size=n - 1)], "L1Ad": float(10 ** rng.uniform(-1, 1))}
+        primes = draw(st.lists(st.sampled_from(["2", "3", "5"]), unique=True, max_size=3))
+        if primes or draw(st.booleans()):
+            raw["satake"] = {p: entries(x) for p in primes}
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+        if chosen or draw(st.booleans()):
+            raw["coefficients"] = {
+                ",".join(map(str, l)): pair(coefficient(x, CoefficientIndex(n, l))) for l in chosen
+            }
+        members.append(raw)
+        params.append(x)
+    for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        # drawn from rng: hypothesis favours the first of a list, and every kind should be common
+        j = int(rng.integers(len(members)))
+        raw, kind = members[j], FAULT_KINDS[rng.integers(len(FAULT_KINDS))]
+        satake = raw.setdefault("satake", {})
+        if not satake and kind in ("short entry", "bad Satake pair", "zero entry", "product", "incoherent"):
+            satake["7"] = entries(params[j])
+        coeffs = raw.setdefault("coefficients", {})
+        if kind == "short nu":
+            raw["nu"] = raw["nu"][1:]
+        elif kind == "unknown field":
+            raw["junk"] = 1
+        elif kind == "missing L1Ad":
+            raw.pop("L1Ad", None)
+        elif kind == "non-prime key":  # at a random place among the primes
+            items = list(satake.items())
+            items.insert(draw(st.integers(0, len(items))), ("4", [[1.0, 0.0]] * n))
+            raw["satake"] = dict(items)
+        elif kind == "short entry":
+            p = draw(st.sampled_from(sorted(satake)))
+            satake[p] = satake[p][1:]
+        elif kind == "bad Satake pair":
+            p = draw(st.sampled_from(sorted(satake)))
+            satake[p][draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_PAIRS))
+        elif kind == "bad coefficient pair":
+            coeffs[zero_key] = draw(st.sampled_from(BAD_PAIRS))
+        elif kind in ("zero entry", "product"):
+            p = draw(st.sampled_from(sorted(satake)))
+            i = draw(st.integers(0, n - 1))
+            if kind == "zero entry":
+                satake[p][i] = [0.0, 0.0]
+            elif draw(st.booleans()):
+                satake[p][i] = [2 * v for v in satake[p][i]]
+            else:  # product 1 in file order; at N=4 it underflows in the canonical order
+                satake[p] = [[1e200, 0.0], [1e-200, 0.0]] * (n // 2) + [[1.0, 0.0]] * (n % 2)
+        elif kind == "L1Ad":
+            raw["L1Ad"] = draw(st.sampled_from([0, -1.5, "abc", "nan", "inf", 10**400]))
+        elif kind == "c0":
+            coeffs[zero_key] = [2.0, 0.0]
+        else:
+            numeric = sorted(k for k, v in coeffs.items() if isinstance(v[0], float))
+            key = draw(st.sampled_from(numeric)) if numeric else ",".join(["1"] + ["0"] * (n - 2))
+            re, im = coeffs.get(key, [0.0, 0.0])
+            coeffs[key] = [re + draw(st.sampled_from([1e-3, 0.5, 99.0])), im]
+    return {"N": n, "label": "fuzz", "members": members}
+
+
+class TestBatchedLoader:
+    # a document with entries 1e200 and 1e-200 overflows the character values
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_documents())
+    def test_matches_member_by_member_loader(self, doc):
+        try:
+            want = family_from_dict_per_member(doc)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                family_from_dict(doc)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        assert same_bits(family_from_dict(doc), want)
+
+    def test_reports_the_lowest_numbered_faulty_member(self):
+        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True) for s in (30, 31, 32)]
+        doc = family_to_dict(Family(3, tuple(members)))
+        doc["members"][2]["nu"] = "junk"
+        doc["members"][1]["coefficients"]["1,0"][0] += 0.5
+        with pytest.raises(FamilyValidationError, match=r"^member 1: coefficient \(1, 0\) incoherent"):
+            family_from_dict(doc)
+
+    def test_keeps_the_field_order_within_a_member(self):
+        doc = family_to_dict(Family(3, (coherent_member(seed=33, primes=(2, 3)),)))
+        satake = doc["members"][0]["satake"]
+        satake["2"][0] = [2 * v for v in satake["2"][0]]
+        satake["3"] = satake["3"][1:]
+        with pytest.raises(FamilyValidationError, match=r"^member 0: p=2: product deviates"):
+            family_from_dict(doc)
+
+    def test_one_batch_per_prime_and_one_schur_call_per_key_tuple(self, monkeypatch):
+        calls = {"canonicalize_batch": 0, "_schur": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(families, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(families, name, counted)
+        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True) for s in range(40)]
+        fam = family_from_dict(family_to_dict(Family(3, tuple(members))))
+        assert len(fam) == 40
+        assert calls == {"canonicalize_batch": 2, "_schur": 2}
+
