@@ -480,27 +480,19 @@ def _member_from_dict(raw, n: int, pos: int, rows: list[_SatakeRow]) -> FamilyMe
 def _canonicalize_rows(n: int, rows: list[_SatakeRow], fault):
     """Canonicalise the rows before the fault into their members' dicts, one
     canonicalize_batch per prime; returns the earliest fault, these rows' included."""
-    while True:
-        live = [row for row in rows if fault is None or (row.member, row.index) < fault[:2]]
-        by_prime: dict[int, list[_SatakeRow]] = {}
-        for row in live:
-            by_prime.setdefault(row.p, []).append(row)
-        fixed, found = {}, None
-        for p, group in by_prime.items():
+    live = [row for row in rows if fault is None or (row.member, row.index) < fault[:2]]
+    try:
+        fixed = _batch_by_prime(live)
+    except ValueError:
+        # the failure path: the first row in file order that fails alone is the
+        # fault, and the rows before it all pass
+        for k, row in enumerate(live):
             try:
-                fixed[p] = iter(canonicalize_batch([row.alphas for row in group]).tolist())
-            except ValueError:
-                # the failure path: the first row of this prime that fails alone
-                for row in group:
-                    try:
-                        canonicalize_batch(row.alphas)
-                    except ValueError as exc:
-                        if found is None or (row.member, row.index) < found[:2]:
-                            found = (row.member, row.index, FamilyValidationError(f"p={p}: {exc}"))
-                        break
-        if found is None:
-            break
-        fault = found  # and batch again over the rows before it, which all pass
+                canonicalize_batch(row.alphas)
+            except ValueError as exc:
+                fault, live = (row.member, row.index, FamilyValidationError(f"p={row.p}: {exc}")), live[:k]
+                break
+        fixed = _batch_by_prime(live)
     for row in live:  # in file order, as each prime's batch
         try:
             row.satake[row.p] = SatakeParameter(n, next(fixed[row.p]))
@@ -509,11 +501,20 @@ def _canonicalize_rows(n: int, rows: list[_SatakeRow], fault):
     return fault
 
 
+def _batch_by_prime(rows: list[_SatakeRow]) -> dict:
+    """One canonicalize_batch per prime: an iterator over its rows' canonical entries, in order."""
+    by_prime: dict[int, list[list[complex]]] = {}
+    for row in rows:
+        by_prime.setdefault(row.p, []).append(row.alphas)
+    return {p: iter(canonicalize_batch(alphas).tolist()) for p, alphas in by_prime.items()}
+
+
 def _coherence_fault(members: list[FamilyMember]):
     """The first coefficient, in member, prime and key order, that misses the
     character value ``coefficient(x, idx)`` of a stored parameter by more than
     CS_COHERENCE_TOL, as a fault; one _schur call (one h recurrence) per group
-    of members that share a prime and a tuple of coefficient keys."""
+    of members that share a prime and a tuple of coefficient keys, at N <= 3
+    (one per member above, see _characters)."""
     groups: dict[tuple, list[int]] = {}
     for pos, mem in enumerate(members):
         if mem.coefficients and mem.satake:
@@ -524,7 +525,7 @@ def _coherence_fault(members: list[FamilyMember]):
         lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
         alphas = np.array([members[j].satake[p].alphas for j in positions])
         vals = np.array([list(members[j].coefficients.values()) for j in positions])
-        chars = np.stack(_schur(alphas, lams), axis=-1)
+        chars = _characters(alphas, lams)
         # numpy's complex abs may differ from Python's in the last bit: screen
         # with a margin, then decide and report with abs() on the scalars
         for g, k in np.argwhere(np.abs(vals - chars) > CS_COHERENCE_TOL * (1 - 1e-9)):
@@ -539,6 +540,17 @@ def _coherence_fault(members: list[FamilyMember]):
                     ))
                 break
     return first
+
+
+def _characters(alphas: np.ndarray, lams) -> np.ndarray:
+    """(rows, keys) values s_lam at each row of alphas, bitwise those of
+    ``coefficient``, which evaluates one 1-D row.  The h recurrence sums N
+    terms: numpy adds them in order down a batch's columns, and on a 1-D row
+    in order only below four terms (pairwise from four on), so rows are
+    batched at N <= 3 and evaluated one at a time above."""
+    if alphas.shape[-1] <= 3:
+        return np.stack(_schur(alphas, lams), axis=-1)
+    return np.array([_schur(row, lams) for row in alphas])
 
 
 def family_to_dict(family: Family) -> dict:

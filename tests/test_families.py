@@ -510,11 +510,14 @@ def faulty_documents(draw):
     keys and prime sets, then up to three faults in random members."""
     n = draw(st.sampled_from([2, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    keys = [l for l in itertools.product(range(3), repeat=n - 1) if sum(l) <= 2]
+    high = (80,) if n == 2 else (0,) * (n - 3) + (40, 40)  # h_r large enough to show summation order
+    keys = [high] + [l for l in itertools.product(range(3), repeat=n - 1) if sum(l) <= 2]
     zero_key = ",".join(["0"] * (n - 1))
 
-    def entries(x):  # permuted, product off 1 by up to 1e-8: rescaled on load
-        alphas = rng.permutation(x.as_array()) * np.append(1 + rng.uniform(-1e-8, 1e-8), np.ones(n - 1))
+    def entries(x, rescaled=True):  # permuted; product off 1 by up to 1e-8 if rescaled on load
+        alphas = rng.permutation(x.as_array())
+        if rescaled:
+            alphas = alphas * np.append(1 + rng.uniform(-1e-8, 1e-8), np.ones(n - 1))
         return [pair(a) for a in alphas]
 
     members, params = [], []
@@ -522,10 +525,11 @@ def faulty_documents(draw):
         z = np.exp(rng.normal(scale=0.3, size=n - 1) + 1j * rng.uniform(0, 2 * np.pi, size=n - 1))
         x = canonicalize(np.append(z, 1 / np.prod(z)))
         raw = {"nu": [[0.0, float(v)] for v in rng.uniform(1, 20, size=n - 1)], "L1Ad": float(10 ** rng.uniform(-1, 1))}
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
         primes = draw(st.lists(st.sampled_from(["2", "3", "5"]), unique=True, max_size=3))
         if primes or draw(st.booleans()):
-            raw["satake"] = {p: entries(x) for p in primes}
-        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+            # a rescaled entry moves a high-degree character value by far more than 1e-6
+            raw["satake"] = {p: entries(x, rescaled=high not in chosen) for p in primes}
         if chosen or draw(st.booleans()):
             raw["coefficients"] = {
                 ",".join(map(str, l)): pair(coefficient(x, CoefficientIndex(n, l))) for l in chosen
@@ -609,6 +613,31 @@ class TestBatchedLoader:
         satake["3"] = satake["3"][1:]
         with pytest.raises(FamilyValidationError, match=r"^member 0: p=2: product deviates"):
             family_from_dict(doc)
+
+    def test_reports_the_first_failing_satake_row_in_file_order(self):
+        members = [coherent_member(seed=s, primes=(2, 3)) for s in (34, 35, 36)]
+        doc = family_to_dict(Family(3, tuple(members)))
+        doc["members"][2]["satake"]["2"][0] = [0.0, 0.0]
+        doc["members"][1]["satake"]["3"][1] = [0.0, 0.0]
+        doc["members"][1]["satake"]["2"][0] = [2 * v for v in doc["members"][1]["satake"]["2"][0]]
+        with pytest.raises(FamilyValidationError, match=r"^member 1: p=2: product deviates"):
+            family_from_dict(doc)
+
+    def test_high_degree_coefficients_at_n4_load_as_member_by_member(self):
+        # at |l| = 80 slightly off the torus the h_r reach 1e4 or more, and another
+        # order of adding up the h recurrence moves s_lam by more than 1e-6
+        idx = CoefficientIndex(4, (0, 40, 40))
+        rng = np.random.default_rng(3)
+        members = []
+        for _ in range(8):
+            z = np.exp(rng.normal(scale=0.05, size=3) + 1j * rng.uniform(0, 2 * np.pi, size=3))
+            x = canonicalize(np.append(z, 1 / np.prod(z)))
+            members.append(FamilyMember(
+                nu=SpectralParameter(4, (1j, 1j, 1j)), l1_adjoint=1.0,
+                coefficients={idx: coefficient(x, idx)}, satake={2: x},
+            ))
+        doc = family_to_dict(Family(4, tuple(members)))
+        assert same_bits(family_from_dict(doc), family_from_dict_per_member(doc))
 
     def test_one_batch_per_prime_and_one_schur_call_per_key_tuple(self, monkeypatch):
         calls = {"canonicalize_batch": 0, "_schur": 0}
