@@ -3,7 +3,8 @@
 Weight multiplicities come from the branching rule in integer arithmetic
 (Macdonald I.5.11: peel off one variable over every horizontal strip);
 tensor products of fundamental modules are decomposed by the iterated
-Pieri rule on partitions, with no weight tables, and the bound sweep's
+Pieri rule on partitions, with no weight tables (one strip table per
+factor size, filtered by each partition's tie mask), and the bound sweep's
 dominant sums are those Pieri multiplicities times branching-rule table
 entries; numeric character values use the Jacobi-Trudi determinant with
 complete homogeneous symmetric functions h_r, taken from the e-row by the
@@ -16,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, eq, ge, gt
 
 import numpy as np
 
@@ -231,37 +233,45 @@ def tensor_decompose(
 
     Iterated Pieri rule (Macdonald I.5.17): every factor is an exterior
     power e_k, and s_lam * e_k is the sum of s_nu over the nu obtained by
-    adding a vertical k-strip to lam within N rows.  A full column is the
-    determinant, trivial on SU(N), so each nu is shifted to end in 0.
-    The budget bounds the candidate strips summed over all steps,
-    sum of len(current) * C(N, k); every step tries at least one, so a
+    adding a vertical k-strip to lam within N rows.  Each size k gets one
+    strip table per call, in combinations order, of (skipped, shift): the
+    bit mask of the empty rows i above a filled row i+1, and the strip less
+    one full column (the determinant, trivial on SU(N)) when it fills the
+    last row, so each nu ends in 0.  A strip fits lam iff skipped misses
+    lam's tie mask (bit i set iff lam_i == lam_{i+1}).  The budget bounds
+    the candidate strips summed over all steps, sum of len(current) *
+    C(N, k), masked ones included; every step tries at least one, so a
     degree above the budget fails before the factors are listed.
     """
     n = spec.n
     if spec.degree > budget:
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
+    bits = [1 << i for i in range(n - 1)]
+    tables: dict[int, list] = {}
     tried = 0
     current = {(0,) * n: 1}
-    for w in spec.factor_weights():
-        k = w.size()
-        tried += len(current) * math.comb(n, k)
-        if tried > budget:
-            raise TermBudgetExceeded(
-                f"Pieri steps with {tried} candidate strips in total exceed budget {budget}"
-            )
-        strips = [
-            tuple(1 if i in rows else 0 for i in range(n))
-            for rows in itertools.combinations(range(n), k)
-        ]
-        out: dict[tuple[int, ...], int] = {}
-        for lam, c in current.items():
-            for strip in strips:
-                nu = tuple(a + b for a, b in zip(lam, strip))
-                if all(x >= y for x, y in zip(nu, nu[1:])):
-                    if nu[-1]:
-                        nu = tuple(x - 1 for x in nu)
-                    out[nu] = out.get(nu, 0) + c
-        current = out
+    for j in range(1, n):
+        for k in [j] * spec.plain(j) + [n - j] * spec.conjugate(j):
+            tried += len(current) * math.comb(n, k)
+            if tried > budget:
+                raise TermBudgetExceeded(
+                    f"Pieri steps with {tried} candidate strips in total exceed budget {budget}"
+                )
+            table = tables.get(k)
+            if table is None:
+                table = tables[k] = []
+                for rows in itertools.combinations(range(n), k):
+                    strip = [int(i in rows) for i in range(n)]
+                    skipped = sum(itertools.compress(bits, map(gt, strip[1:], strip)))
+                    table.append((skipped, tuple(x - strip[-1] for x in strip)))
+            out: dict[tuple[int, ...], int] = {}
+            for lam, c in current.items():
+                ties = sum(itertools.compress(bits, map(eq, lam, lam[1:])))
+                for skipped, shift in table:
+                    if not ties & skipped:
+                        nu = tuple(map(add, lam, shift))
+                        out[nu] = out.get(nu, 0) + c
+            current = out
     return {DominantWeight(n, lam): c for lam, c in current.items()}
 
 
@@ -349,7 +359,7 @@ def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
     coeffs: dict[tuple[int, ...], int] = {}
     for lam, a in tensor_decompose(spec).items():
         for w, k in weight_table(lam).terms.items():
-            if all(x >= y for x, y in zip(w, w[1:])):
+            if all(map(ge, w, w[1:])):
                 coeffs[w] = coeffs.get(w, 0) + a * k
     return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
 

@@ -512,7 +512,8 @@ def _batch_by_prime(rows: list[_SatakeRow]) -> dict:
 def _coherence_fault(members: list[FamilyMember]):
     """The first coefficient, in member, prime and key order, that misses the
     character value ``coefficient(x, idx)`` of a stored parameter by more than
-    CS_COHERENCE_TOL, as a fault; one _schur call (one h recurrence) per group
+    CS_COHERENCE_TOL, or by a residual that is not a number (an overflowing
+    value), as a fault; one _schur call (one h recurrence) per group
     of members that share a prime and a tuple of coefficient keys, at N <= 3
     (one per member above, see _characters)."""
     groups: dict[tuple, list[int]] = {}
@@ -525,12 +526,14 @@ def _coherence_fault(members: list[FamilyMember]):
         lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
         alphas = np.array([members[j].satake[p].alphas for j in positions])
         vals = np.array([list(members[j].coefficients.values()) for j in positions])
-        chars = _characters(alphas, lams)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+            chars = _characters(alphas, lams)
         # numpy's complex abs may differ from Python's in the last bit: screen
-        # with a margin, then decide and report with abs() on the scalars
-        for g, k in np.argwhere(np.abs(vals - chars) > CS_COHERENCE_TOL * (1 - 1e-9)):
+        # with a margin, then decide and report with abs() on the scalars;
+        # both tests are negated <= so that a NaN residual fails
+        for g, k in np.argwhere(~(np.abs(vals - chars) <= CS_COHERENCE_TOL * (1 - 1e-9))):
             residual = abs(complex(vals[g, k]) - complex(chars[g, k]))
-            if residual > CS_COHERENCE_TOL:
+            if not residual <= CS_COHERENCE_TOL:
                 j = positions[g]
                 where = (list(members[j].satake).index(p), int(k))
                 if first is None or (j, where) < first[:2]:

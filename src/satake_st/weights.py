@@ -8,6 +8,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -44,11 +45,11 @@ class DominantWeight:
 
     def __post_init__(self):
         _check_rank(self.n)
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         object.__setattr__(self, "parts", parts)
         if len(parts) != self.n:
             raise ValueError(f"expected {self.n} parts, got {len(parts)}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts must be non-increasing: {parts}")
         if parts[-1] != 0:
             raise ValueError(f"normalized parts must end in 0: {parts}")

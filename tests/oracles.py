@@ -7,6 +7,9 @@ None of these is used by the library itself:
   by Weyl symmetry;
 - ``peel_decompose`` decomposes a tensor product by highest-weight peeling
   against the exact weight-multiplicity product table;
+- ``strip_by_strip_pieri`` decomposes a tensor product by the iterated
+  Pieri rule, building every candidate strip as a tuple and testing the sum
+  for dominance (the library's loop before its strip tables and tie masks);
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
   alternants (distinct eigenvalues only);
 - ``sample_st_rejection`` draws SU(2) or SU(3) conjugacy classes by
@@ -16,12 +19,14 @@ None of these is used by the library itself:
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from satake_st.characters import (
     DEFAULT_TERM_BUDGET,
     TensorSpec,
+    TermBudgetExceeded,
     _canon,
     _schur,
     spec_product_table,
@@ -162,6 +167,40 @@ def peel_decompose(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
     return out
 
 
+def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
+    """Multiplicities a_mu by the iterated Pieri rule, one candidate strip at a time.
+
+    Same budget accounting as ``tensor_decompose``: sum of len(current) *
+    C(N, k) over the steps, and the degree checked first.
+    """
+    n = spec.n
+    if spec.degree > budget:
+        raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
+    tried = 0
+    current = {(0,) * n: 1}
+    for w in spec.factor_weights():
+        k = w.size()
+        tried += len(current) * math.comb(n, k)
+        if tried > budget:
+            raise TermBudgetExceeded(
+                f"Pieri steps with {tried} candidate strips in total exceed budget {budget}"
+            )
+        strips = [
+            tuple(1 if i in rows else 0 for i in range(n))
+            for rows in itertools.combinations(range(n), k)
+        ]
+        out: dict[tuple[int, ...], int] = {}
+        for lam, c in current.items():
+            for strip in strips:
+                nu = tuple(a + b for a, b in zip(lam, strip))
+                if all(x >= y for x, y in zip(nu, nu[1:])):
+                    if nu[-1]:
+                        nu = tuple(x - 1 for x in nu)
+                    out[nu] = out.get(nu, 0) + c
+        current = out
+    return {DominantWeight(n, lam): c for lam, c in current.items()}
+
+
 def eval_char_bialternant(mu: DominantWeight, alphas):
     """Ratio-of-alternants evaluation of s_mu; valid only for distinct eigenvalues."""
     arr = np.asarray(alphas, dtype=np.complex128)
@@ -278,7 +317,7 @@ def _check_member_coherence(member: FamilyMember) -> None:
     for p, x in member.satake.items():
         for (idx, val), s_lam in zip(member.coefficients.items(), _schur(x.as_array(), lams)):
             residual = abs(val - complex(s_lam))
-            if residual > CS_COHERENCE_TOL:
+            if not residual <= CS_COHERENCE_TOL:
                 raise FamilyValidationError(
                     f"coefficient {idx.l} incoherent with the "
                     f"parameter at p={p} (residual {residual:.3g})"

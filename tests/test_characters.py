@@ -7,9 +7,12 @@ and numeric values from the bialternant ratio.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satake_st.characters import (
     TensorSpec,
@@ -26,7 +29,7 @@ from satake_st.characters import (
 from satake_st.satake import canonicalize, coefficient
 from satake_st.weights import CoefficientIndex, DominantWeight, aleph, aleph_inv
 
-from oracles import eval_char_bialternant, freudenthal_weight_table
+from oracles import eval_char_bialternant, freudenthal_weight_table, strip_by_strip_pieri
 
 
 def canon(v):
@@ -216,6 +219,69 @@ class TestTensorDecompose:
                     k * spec.plain(k) + (n - k) * spec.conjugate(k) for k in range(1, n)
                 )
                 assert charge % n == 0, spec
+
+
+@st.composite
+def pieri_specs(draw, max_n=8, max_degree=8):
+    """A spec of rank 2..max_n with at most max_degree factors, as a multiset of slots."""
+    n = draw(st.integers(2, max_n))
+    exps = [0] * (2 * (n - 1))
+    for slot in draw(st.lists(st.integers(0, 2 * n - 3), max_size=max_degree)):
+        exps[slot] += 1
+    return TensorSpec(n, tuple(exps))
+
+
+def reference_tried(spec):
+    """The reference's total of candidate strips, the least budget it succeeds at.
+
+    A failing try names the running total through its failing step; the next
+    try allows exactly that, so each try gets at least one step further.
+    """
+    budget = spec.degree
+    while True:
+        try:
+            strip_by_strip_pieri(spec, budget)
+            return budget
+        except TermBudgetExceeded as exc:
+            budget = int(re.search(r"with (\d+) candidate strips", str(exc)).group(1))
+
+
+def budget_verdict(decompose, spec, budget):
+    try:
+        decompose(spec, budget)
+    except TermBudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+class TestStripTables:
+    """The strip-table Pieri loop against the strip-by-strip one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieri_specs(), st.data())
+    def test_matches_strip_by_strip_pieri(self, spec, data):
+        want = strip_by_strip_pieri(spec)
+        got = tensor_decompose(spec)
+        assert got == want
+        assert list(got) == list(want)
+        total = reference_tried(spec)
+        offset = data.draw(st.one_of(st.integers(-2, 2), st.integers(-total, total)), label="offset")
+        for budget in (total - 1, total, total + offset):
+            assert budget_verdict(tensor_decompose, spec, budget) == budget_verdict(
+                strip_by_strip_pieri, spec, budget
+            ), budget
+
+    def test_every_spec_up_to_the_exact_workload_degrees(self):
+        for n, d in [(3, 7), (4, 5), (5, 4)]:
+            for spec in TensorSpec.up_to_degree(n, d):
+                want = strip_by_strip_pieri(spec)
+                got = tensor_decompose(spec)
+                assert got == want and list(got) == list(want), spec.exponents
+
+    def test_budget_message_names_the_running_total(self):
+        want = "Pieri steps with 1148 candidate strips in total exceed budget 1000"
+        for decompose in (strip_by_strip_pieri, tensor_decompose):
+            assert budget_verdict(decompose, TensorSpec(4, (4,) * 6), 1000) == want
 
 
 class TestEvalChar:

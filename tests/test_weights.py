@@ -160,6 +160,25 @@ class TestDominance:
     def test_shifted_coords_compare_equal(self):
         assert WeightVector(3, (4, 3, 2)) == WeightVector(3, (2, 1, 0))
 
+    @pytest.mark.parametrize(
+        "n, parts, message",
+        [
+            (3, (1, 0), r"^expected 3 parts, got 2$"),
+            (3, (1, 0, 0, 0), r"^expected 3 parts, got 4$"),
+            (3, (1, 2, 0), r"^parts must be non-increasing: \(1, 2, 0\)$"),
+            (3, (2, 1, 1), r"^normalized parts must end in 0: \(2, 1, 1\)$"),
+            # non-increasing and ending in 0 leaves no room for a negative part
+            (3, (1, 0, -1), r"^normalized parts must end in 0: \(1, 0, -1\)$"),
+            (3, (0, -1, 0), r"^parts must be non-increasing: \(0, -1, 0\)$"),
+            (1, (0,), r"^rank parameter must be an integer >= 2, got 1$"),
+            (2.0, (1, 0), r"^rank parameter must be an integer >= 2, got 2\.0$"),
+        ],
+        ids=["short", "long", "increasing", "last-part", "negative-last", "negative-inner", "rank-1", "float-rank"],
+    )
+    def test_dominant_weight_validation_messages(self, n, parts, message):
+        with pytest.raises(ValueError, match=message):
+            DominantWeight(n, parts)
+
     def test_dominant_weight_requires_normalization(self):
         with pytest.raises(ValueError):
             DominantWeight(3, (2, 1, 1))
