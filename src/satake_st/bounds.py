@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import TensorSpec, dominant_part_sum, specialization_bound_n3
+from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
 from .families import Family, TestFunctionH, equidist_report
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "orthogonality_error",
     "convergence_error",
     "verify_multiplicity_bound",
+    "verify_multiplicity_bounds",
     "MultiplicityBoundRow",
     "rate_report",
     "RateRow",
@@ -85,19 +86,27 @@ def verify_multiplicity_bound(
     Raises on any failing tuple: a failure would contradict the inequality
     the rate bound rests on (or expose a bug upstream).
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    rows = []
-    for spec in TensorSpec.up_to_degree(3, max_degree):
-        exact = dominant_part_sum(spec, p, alpha)
-        bound = specialization_bound_n3(spec, p, alpha)
-        ok = exact <= bound
-        rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, ok))
-        if not ok:
-            raise RuntimeError(
-                f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}"
-            )
-    return rows
+    return verify_multiplicity_bounds([(p, alpha)], max_degree)[0]
+
+
+def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[MultiplicityBoundRow]]:
+    """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
+    out, table = [], None
+    for p, alpha in pairs:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+        if table is None:
+            table = [(spec, _dominant_coefficients(spec)) for spec in TensorSpec.up_to_degree(3, max_degree)]
+        rows = []
+        for spec, coeffs in table:
+            exact = _weighted_part_sum(coeffs, p, alpha)
+            bound = specialization_bound_n3(spec, p, alpha)
+            ok = exact <= bound
+            rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, ok))
+            if not ok:
+                raise RuntimeError(f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}")
+        out.append(rows)
+    return out
 
 
 @dataclass(frozen=True)

@@ -115,13 +115,15 @@ class TensorSpec:
         return self.exponents[2 * (k - 1) + 1]
 
     def monomial(self, e: np.ndarray) -> np.ndarray:
-        """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e; unused columns are not read."""
+        """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e; unused columns are not read.
+        A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated squaring."""
         out = np.ones(e.shape[:-1], dtype=np.complex128)
         for k, (ik, ikp) in enumerate(zip(self.exponents[::2], self.exponents[1::2])):
-            if ik:
-                out = out * e[..., k] ** ik
-            if ikp:
-                out = out * np.conj(e[..., k]) ** ikp
+            col = e[..., k]
+            if min(ik, ikp):
+                out *= _power(col.real * col.real + col.imag * col.imag, min(ik, ikp))
+            if ik != ikp:
+                out *= _power(col if ik > ikp else np.conj(col), abs(ik - ikp))
         return out
 
     def factor_weights(self) -> list[DominantWeight]:
@@ -131,6 +133,14 @@ class TensorSpec:
             out.extend([DominantWeight.fundamental(self.n, k)] * self.plain(k))
             out.extend([DominantWeight.fundamental(self.n, self.n - k)] * self.conjugate(k))
         return out
+
+
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1, by repeated squaring."""
+    if k == 1:
+        return x
+    half = _power(x * x, k // 2)
+    return half * x if k & 1 else half
 
 
 def _canon(coords) -> tuple[int, ...]:
@@ -349,18 +359,24 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
-    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|).
+    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|)."""
+    return _weighted_part_sum(_dominant_coefficients(spec), p, alpha)
 
-    c_w = sum_lam a_lam K_{lam,w}, from the Pieri multiplicities and the
-    branching-rule tables; an upper bound for the decomposition
-    multiplicities.  |l| = w[0] for a canonical dominant w.  Summed by
-    math.fsum, so the value depends only on the integer coefficients.
-    """
+
+def _dominant_coefficients(spec: TensorSpec) -> dict[tuple[int, ...], int]:
+    """c_w = sum_lam a_lam K_{lam,w} at each dominant weight w, from the Pieri multiplicities
+    and the branching-rule tables; an upper bound for the decomposition multiplicities."""
     coeffs: dict[tuple[int, ...], int] = {}
     for lam, a in tensor_decompose(spec).items():
         for w, k in weight_table(lam).terms.items():
             if all(map(ge, w, w[1:])):
                 coeffs[w] = coeffs.get(w, 0) + a * k
+    return coeffs
+
+
+def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float) -> float:
+    """sum_w c_w p^(alpha*|l|), |l| = w[0] for a canonical dominant w.  Summed by
+    math.fsum, so the value depends only on the integer coefficients."""
     return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
 
 

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import characters, sampling
-from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bound
+from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bounds
 from .characters import TensorSpec, dim, tensor_decompose, trivial_multiplicity
 from .families import TestFunctionH, _is_prime, equidist_report, load_family, synth_family
 from .sampling import RngSeed, char_monomial, mc_integrate, sample_bank, st_density_gl2, varrho_bank
@@ -241,11 +241,11 @@ def bound(mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, o
     primes = _parse_primes(p_text)
     if mode == "verify":
         fields = ["i1", "i1p", "i2", "i2p", "p", "alpha", "exact", "bound"]
+        pairs = [(p, alpha) for p in primes for alpha in _parse_list(alpha_text, float)]
         rows = [
             dict(zip(fields, (*r.exponents, p, alpha, r.exact_sum, r.closed_bound)))
-            for p in primes
-            for alpha in _parse_list(alpha_text, float)
-            for r in verify_multiplicity_bound(p, alpha, max_degree)
+            for (p, alpha), pair_rows in zip(pairs, verify_multiplicity_bounds(pairs, max_degree))
+            for r in pair_rows
         ]
     else:
         exps = tuple(_parse_list(spec_text, int))

@@ -12,6 +12,8 @@ None of these is used by the library itself:
   for dominance (the library's loop before its strip tables and tie masks);
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
   alternants (distinct eigenvalues only);
+- ``monomial_by_complex_power`` evaluates a spec's character monomial as
+  ``e**i * conj(e)**i'`` column by column, with numpy's complex power;
 - ``sample_st_rejection`` draws SU(2) or SU(3) conjugacy classes by
   rejection against the Weyl density;
 - ``family_from_dict_per_member`` loads a family document one member at a
@@ -211,6 +213,17 @@ def eval_char_bialternant(mu: DominantWeight, alphas):
     den = np.linalg.det(arr[..., :, None] ** exps_den[None, :])
     out = num / den
     return complex(out) if out.ndim == 0 else out
+
+
+def monomial_by_complex_power(spec: TensorSpec, e: np.ndarray) -> np.ndarray:
+    """prod_k e_k^{i_k} conj(e_k)^{i'_k}, skipping the columns whose exponents are both 0."""
+    out = np.ones(e.shape[:-1], dtype=np.complex128)
+    for k, (ik, ikp) in enumerate(zip(spec.exponents[::2], spec.exponents[1::2])):
+        if ik:
+            out = out * e[..., k] ** ik
+        if ikp:
+            out = out * np.conj(e[..., k]) ** ikp
+    return out
 
 
 def sample_st_rejection(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

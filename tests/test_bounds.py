@@ -9,8 +9,9 @@ from satake_st.bounds import (
     p_total,
     rate_report,
     verify_multiplicity_bound,
+    verify_multiplicity_bounds,
 )
-from satake_st.characters import trivial_multiplicity
+from satake_st.characters import TensorSpec, dominant_part_sum, trivial_multiplicity
 from satake_st.families import TestFunctionH, l_functional, synth_family
 
 
@@ -95,6 +96,33 @@ class TestMultiplicityBound:
         for r in rows:
             if sum(r.exponents) >= 1:
                 assert r.exact_sum < r.closed_bound
+
+
+class TestMultiplicityBounds:
+    """The multi-pair sweep builds each spec's coefficients once; its rows must not move by a bit."""
+
+    PAIRS = [(p, alpha) for p in (2, 3, 5) for alpha in (0.109375, 0.5, 1.6666666667)]
+
+    @staticmethod
+    def bits(rows):
+        return [(r.exponents, r.exact_sum.hex(), r.closed_bound.hex(), r.passed) for r in rows]
+
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 4])
+    def test_rows_equal_the_per_pair_rows_bit_for_bit(self, max_degree):
+        multi = verify_multiplicity_bounds(self.PAIRS, max_degree)
+        assert len(multi) == len(self.PAIRS)
+        for (p, alpha), rows in zip(self.PAIRS, multi):
+            assert self.bits(rows) == self.bits(verify_multiplicity_bound(p, alpha, max_degree))
+
+    def test_rows_are_the_fsum_of_each_spec_alone(self):
+        (rows,) = verify_multiplicity_bounds([(3, 0.5)], 3)
+        for r in rows:
+            assert r.exact_sum == dominant_part_sum(TensorSpec(3, r.exponents), 3, 0.5)
+
+    def test_no_pairs_and_a_non_finite_alpha(self):
+        assert verify_multiplicity_bounds([], 4) == []
+        with pytest.raises(ValueError, match="alpha must be finite, got nan"):
+            verify_multiplicity_bounds([(2, 0.5), (3, float("nan"))], 2)
 
 
 class TestRateReport:

@@ -29,7 +29,12 @@ from satake_st.characters import (
 from satake_st.satake import canonicalize, coefficient
 from satake_st.weights import CoefficientIndex, DominantWeight, aleph, aleph_inv
 
-from oracles import eval_char_bialternant, freudenthal_weight_table, strip_by_strip_pieri
+from oracles import (
+    eval_char_bialternant,
+    freudenthal_weight_table,
+    monomial_by_complex_power,
+    strip_by_strip_pieri,
+)
 
 
 def canon(v):
@@ -282,6 +287,76 @@ class TestStripTables:
         want = "Pieri steps with 1148 candidate strips in total exceed budget 1000"
         for decompose in (strip_by_strip_pieri, tensor_decompose):
             assert budget_verdict(decompose, TensorSpec(4, (4,) * 6), 1000) == want
+
+
+def rows_off_the_torus(n: int, count: int, rng) -> np.ndarray:
+    """(count, n-1) complex rows with moduli in [1/2, 2] and uniform phases."""
+    modulus = 2.0 ** rng.uniform(-1.0, 1.0, size=(count, n - 1))
+    return modulus * np.exp(2j * np.pi * rng.random((count, n - 1)))
+
+
+class TestMonomial:
+    """TensorSpec.monomial by |e|^2 powers and repeated squaring, against numpy's complex power."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), np.max(np.abs(got - want) / np.abs(want))
+
+    @staticmethod
+    def spec_with(n, k, ik, ikp):
+        exps = [0] * (2 * (n - 1))
+        exps[2 * (k - 1)], exps[2 * (k - 1) + 1] = ik, ikp
+        return TensorSpec(n, tuple(exps))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_spec_of_low_degree(self, n):
+        e = rows_off_the_torus(n, 200, np.random.default_rng(n))
+        for spec in TensorSpec.up_to_degree(n, 4 if n <= 4 else 3):
+            self.assert_close(spec.monomial(e), monomial_by_complex_power(spec, e))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equal_unequal_and_zero_exponents(self, n):
+        e = rows_off_the_torus(n, 200, np.random.default_rng(10 + n))
+        zero = TensorSpec(n, (0,) * (2 * (n - 1)))
+        assert np.array_equal(zero.monomial(e), np.ones(200, dtype=np.complex128))
+        for k in range(1, n):
+            for ik, ikp in [(3, 3), (5, 2), (2, 5), (7, 0), (0, 7), (1, 1), (0, 1), (1, 0)]:
+                spec = self.spec_with(n, k, ik, ikp)
+                self.assert_close(spec.monomial(e), monomial_by_complex_power(spec, e))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exponent_200(self, n):
+        e = rows_off_the_torus(n, 200, np.random.default_rng(20 + n))
+        for ik, ikp in [(200, 0), (0, 200), (200, 3), (7, 200), (200, 200)]:
+            spec = self.spec_with(n, n - 1, ik, ikp)
+            want = monomial_by_complex_power(spec, e)
+            assert np.all(np.isfinite(want))
+            self.assert_close(spec.monomial(e), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_nan_only_where_a_used_column_is_nan(self, n):
+        e = rows_off_the_torus(n, 50, np.random.default_rng(30 + n))
+        e[3, 0] = np.nan
+        e[7, n - 2] = complex(0.5, np.nan)
+        for ik, ikp in [(1, 0), (0, 1), (2, 2), (3, 1), (1, 4)]:
+            first = self.spec_with(n, 1, ik, ikp)
+            got = first.monomial(e)
+            assert np.isnan(got[3]) and np.isnan(monomial_by_complex_power(first, e)[3])
+            rest = np.delete(np.arange(50), [3, 7])
+            self.assert_close(got[rest], monomial_by_complex_power(first, e[rest]))
+            last = self.spec_with(n, n - 1, ik, ikp)
+            assert np.isnan(last.monomial(e)[7])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_an_unused_nan_column_is_not_read(self, n):
+        # the family statistic's contract: NaN stands for a missing A[k], and only used columns count
+        e = rows_off_the_torus(n, 50, np.random.default_rng(40 + n))
+        e[:, 1:] = np.nan
+        spec = self.spec_with(n, 1, 3, 2)
+        got = spec.monomial(e)
+        assert np.all(np.isfinite(got))
+        self.assert_close(got, monomial_by_complex_power(spec, e))
 
 
 class TestEvalChar:

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import satake_st
+from satake_st.bounds import verify_multiplicity_bound
 from satake_st.cli import cli
 from satake_st.families import synth_family, save_family, family_to_dict
 
@@ -145,6 +150,18 @@ class TestBound:
         rows = read_csv(result.output)
         assert all(float(r["exact"]) <= float(r["bound"]) for r in rows)
 
+    def test_verify_prints_the_per_pair_rows(self, runner):
+        args = ["bound", "--verify", "--p", "2,3", "--alpha", "0.109375,1.6666666667", "--max-degree", "3"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0
+        want = [
+            ",".join(map(str, (*r.exponents, p, alpha, r.exact_sum, r.closed_bound)))
+            for p in (2, 3)
+            for alpha in (0.109375, 1.6666666667)
+            for r in verify_multiplicity_bound(p, alpha, 3)
+        ]
+        assert result.output.splitlines()[1:] == want
+
     def test_rate_header(self, runner):
         result = runner.invoke(
             cli, ["bound", "--rate", "--p", "2", "--spec", "1,0,0,0", "--t-grid", "10,100"]
@@ -199,6 +216,16 @@ class TestDeterminism:
         assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
         assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_blas_thread_count_does_not_change_moment_bytes(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(satake_st.__file__)))
+        args = [sys.executable, "-m", "satake_st.cli", "moment", "--n", "3", "--spec", "2,1,0,0",
+                "--m", "200000", "--seed", "5"]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            outs.append(subprocess.run(args, env=env, capture_output=True, check=True, timeout=120).stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_env_var_override(self, runner):
         result = runner.invoke(

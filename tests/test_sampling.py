@@ -42,14 +42,26 @@ class TestSampler:
         args = np.mod(np.angle(x.as_array()), 2 * np.pi)
         assert np.all(np.diff(args) >= 0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
     def test_determinant_residual(self, n):
-        bank = sample_st_batch(n, 5000, RngSeed(2).generator())
-        assert np.max(np.abs(np.prod(bank, axis=-1) - 1)) < 1e-10
+        for count in (1, 5000):
+            bank = sample_st_batch(n, count, RngSeed(2).generator())
+            assert bank.shape == (count, n)
+            assert np.max(np.abs(np.prod(bank, axis=-1) - 1)) < 1e-10
 
     def test_unit_modulus(self):
-        bank = sample_st_batch(3, 5000, RngSeed(3).generator())
-        assert np.max(np.abs(np.abs(bank) - 1)) < 1e-10
+        for n in (2, 3, 4, 6, 10):
+            for count in (1, 5000):
+                bank = sample_st_batch(n, count, RngSeed(3).generator())
+                assert bank.shape == (count, n)
+                assert np.max(np.abs(np.abs(bank) - 1)) < 1e-10, (n, count)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_draw_is_a_fresh_contiguous_array(self, n):
+        for count in (1, 5000):
+            rows = sampling._haar_su_varrho(n, count, RngSeed(2).generator())
+            assert rows.shape == (count, n - 1) and rows.dtype == np.complex128
+            assert rows.flags.c_contiguous and rows.base is None  # holds no work array alive
 
     def test_first_moment_vanishes(self):
         for n in (2, 3, 4):
