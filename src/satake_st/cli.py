@@ -294,13 +294,15 @@ def hecke(n, m, p_text, tol, out, fmt, seed, workers):
 def ingest(path, out, fmt):
     """Validate a family JSON file and report its contents."""
     fam = load_family(path)
-    primes = sorted({p for mem in fam.members if mem.satake for p in mem.satake})
+    stored = np.zeros(len(fam), dtype=bool)
+    for mask in fam.coefficient_mask.values():
+        stored |= mask
     row = {
         "N": fam.n,
         "label": fam.label,
         "members": len(fam),
-        "primes": " ".join(str(p) for p in primes),
-        "with_coefficients": sum(1 for mem in fam.members if mem.coefficients),
+        "primes": " ".join(str(p) for p in sorted(fam.e)),
+        "with_coefficients": int(stored.sum()),
     }
     _emit([row], list(row.keys()), out, fmt)
 

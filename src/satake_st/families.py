@@ -5,23 +5,30 @@ parameters, adjoint L-value weights, and per-prime Satake parameters
 and/or coefficient tables.  The weighted average of a test function over
 the family is the statistic whose large-family limit is the
 conjugacy-class integral.
+
+A ``Family`` holds that data as read-only columns with one row per member,
+built once at construction.  Synthesis writes the columns directly, the
+loader parses a document into column lists and checks them in batches, and
+the writer reads them; ``Family.members`` builds ``FamilyMember`` views of
+the rows for callers that want one object per member.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .characters import TensorSpec, _schur, trivial_multiplicity
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
-from .sampling import RngSeed, perturb_radial, sample_st_batch
+from .sampling import RngSeed, _canonical_roots, _haar_su_varrho, perturb_radial
 from .weights import CoefficientIndex, SpectralParameter, aleph, laplace_eigenvalue, laplace_eigenvalues
 
 __all__ = [
@@ -104,6 +111,14 @@ def h_eval(h: TestFunctionH, nu: SpectralParameter, t: float) -> float:
     return float(h.evaluate(laplace_eigenvalue(nu).real, t))
 
 
+def _check_member(l1_adjoint: float, c0: complex | None) -> None:
+    """A member's weight must be finite and positive, its A(0) (c0, if stored) 1."""
+    if not (math.isfinite(l1_adjoint) and l1_adjoint > 0):
+        raise FamilyValidationError(f"adjoint L-value weight must be finite and positive, got {l1_adjoint}")
+    if c0 is not None and abs(c0 - 1.0) > 1e-9:
+        raise FamilyValidationError(f"coefficient at the zero index must be 1, got {c0}")
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     """One spectral datum: nu, adjoint L-value, optional local data."""
@@ -114,17 +129,8 @@ class FamilyMember:
     satake: dict | None = None  # prime -> SatakeParameter
 
     def __post_init__(self):
-        if not (math.isfinite(self.l1_adjoint) and self.l1_adjoint > 0):
-            raise FamilyValidationError(
-                f"adjoint L-value weight must be finite and positive, got {self.l1_adjoint}"
-            )
-        if self.coefficients is not None:
-            zero = CoefficientIndex.zero(self.nu.n)
-            c0 = self.coefficients.get(zero)
-            if c0 is not None and abs(c0 - 1.0) > 1e-9:
-                raise FamilyValidationError(
-                    f"coefficient at the zero index must be 1, got {c0}"
-                )
+        c0 = None if self.coefficients is None else self.coefficients.get(CoefficientIndex.zero(self.nu.n))
+        _check_member(self.l1_adjoint, c0)
 
     def satake_at(self, p: int) -> SatakeParameter:
         if self.satake is None or p not in self.satake:
@@ -132,25 +138,65 @@ class FamilyMember:
         return self.satake[p]
 
 
-@dataclass(frozen=True)
 class Family:
-    """A family and its members are values: they are not mutated after
-    construction, so the columns derived from the members are built once."""
+    """A family as read-only columns with one row per member, built once at construction.
 
-    n: int
-    members: tuple[FamilyMember, ...]
-    label: str = ""
-    # read-only per-member columns, filled on first use: "lam", "l1" and ("e", p)
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ``nu`` (m, N-1), ``l1`` (m,), ``lam`` (m,), the real part of the Laplace
+    eigenvalue; ``e[p]`` (m, N-1) at each prime some member has a Satake
+    parameter at: the e-rows of that parameter, else of the member's stored
+    A[k] (the index with a single 1 in slot N-k), else NaN; and per stored
+    index idx, ``coefficients[idx]`` (m,), valid where ``coefficient_mask[idx]``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        for mem in self.members:
-            if mem.nu.n != self.n:
-                raise ValueError("all members must share the family rank")
+    def __init__(self, n: int, members, label: str = ""):
+        cols = _Columns(n)
+        for mem in members:
+            cols.add(mem)
+        cols.fill(self, label)
+
+    def _fill(self, n, label, nu, l1, keys, coefficients, alphas, e) -> None:
+        """keys[j]: member j's (indices, primes), each a tuple or None; coefficients:
+        index -> (values, mask); alphas: prime -> (m, N) canonical rows, or None for the roots of e[p]."""
+        self.n, self.label, self._keys, self._alphas = n, label, keys, alphas
+        with np.errstate(over="ignore", invalid="ignore"):  # huge valid entries give inf, as in a report
+            # a member's nu has N-1 entries, so only an empty family may have a rank too large to tabulate
+            self.lam = _read_only(laplace_eigenvalues(n, nu).real if len(nu) else np.zeros(0))
+            e = {**e, **{p: elementary_symmetric(_read_only(rows)) for p, rows in alphas.items() if rows is not None}}
+        self.nu, self.l1 = _read_only(nu), _read_only(l1)
+        self.coefficients = MappingProxyType({idx: _read_only(v) for idx, (v, _) in coefficients.items()})
+        self.coefficient_mask = MappingProxyType({idx: _read_only(k) for idx, (_, k) in coefficients.items()})
+        self._a_rows = np.full((len(l1), n - 1), np.nan, dtype=np.complex128)  # e-rows from the stored A[k]
+        for idx, (values, mask) in coefficients.items():
+            if sum(idx.l) == 1:  # A[k] has its 1 in slot N-k
+                self._a_rows[mask, n - 2 - idx.l.index(1)] = values[mask]
+        for p, rows in e.items():
+            if alphas[p] is not None:  # a member without a parameter at p has a NaN row
+                lacking = np.isnan(rows[:, 0])
+                rows[lacking] = self._a_rows[lacking]
+        self.e = MappingProxyType({p: _read_only(rows) for p, rows in e.items()})
+        _read_only(self._a_rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.l1)
+
+    def alphas(self, p: int) -> np.ndarray:
+        """(m, N) canonical Satake parameters at p, NaN where a member has none."""
+        rows = self._alphas[p]
+        return _canonical_roots(self.e[p]) if rows is None else rows
+
+    @property
+    def members(self) -> tuple[FamilyMember, ...]:
+        """The rows as FamilyMember values, built anew on each access."""
+        n, alphas = self.n, {p: self.alphas(p).tolist() for p in self._alphas}
+        coefficients = {idx: v.tolist() for idx, v in self.coefficients.items()}
+        return tuple(
+            FamilyMember(
+                SpectralParameter(n, nu), l1,
+                None if keys is None else {idx: coefficients[idx][j] for idx in keys},
+                None if primes is None else {p: SatakeParameter(n, alphas[p][j]) for p in primes},
+            )
+            for j, (nu, l1, (keys, primes)) in enumerate(zip(self.nu.tolist(), self.l1.tolist(), self._keys))
+        )
 
 
 def weight(member: FamilyMember, h: TestFunctionH, t: float) -> float:
@@ -187,32 +233,6 @@ def _kish_ess(weights: np.ndarray) -> float:
     return float(1.0 / (q * q).sum())
 
 
-def _weight_columns(family: Family, h: TestFunctionH, t_grid) -> list[np.ndarray]:
-    """The weight of every member, one array per scale in t_grid."""
-    cols = family._columns
-    if "lam" not in cols:
-        cols["lam"] = _read_only(laplace_eigenvalues(family.n, [mem.nu.nu for mem in family.members]).real)
-        cols["l1"] = _read_only(np.array([mem.l1_adjoint for mem in family.members], dtype=float))
-    return [h.evaluate(cols["lam"], float(t)) / cols["l1"] for t in t_grid]
-
-
-def _e_columns(family: Family, p: int) -> np.ndarray:
-    """(m, N-1) columns of e_k at p: from each member's Satake parameter at p,
-    else from its stored A[k] = e_k, with NaN for an A[k] it lacks."""
-    key = ("e", p)
-    if key in family._columns:
-        return family._columns[key]
-    n = family.n
-    units = [CoefficientIndex.unit(n, n - k) for k in range(1, n)]  # A[k]: p in slot N-k
-    no_satake = (np.nan,) * n
-    alphas = [mem.satake[p].alphas if mem.satake and p in mem.satake else no_satake for mem in family.members]
-    e = elementary_symmetric(np.array(alphas, dtype=np.complex128).reshape(-1, n))
-    for i in np.flatnonzero(np.isnan(e[:, 0])):
-        e[i] = [(family.members[i].coefficients or {}).get(idx, np.nan) for idx in units]
-    family._columns[key] = _read_only(e)
-    return e
-
-
 def _spec_values(spec: TensorSpec, e: np.ndarray, p: int) -> np.ndarray:
     """The spec's monomial on every row of e; NaN marks a member lacking an A[k] it uses."""
     if spec.n != e.shape[1] + 1:
@@ -235,9 +255,9 @@ def l_functional(
     """
     if len(family) == 0:
         raise FamilyValidationError("empty family")
-    (weights,) = _weight_columns(family, h, [t])
+    weights = h.evaluate(family.lam, float(t)) / family.l1
     if isinstance(f, TensorSpec):
-        vals = _spec_values(f, _e_columns(family, p), p)
+        vals = _spec_values(f, family.e.get(p, family._a_rows), p)
     else:
         vals = np.array([f(mem.satake_at(p)) for mem in family.members], dtype=np.complex128)
     mean, _ = weighted_stat(vals, weights)
@@ -255,8 +275,10 @@ def synth_family(
 
     'sato-tate' members sit on the unit torus; 't1-perturbed' members get
     radial noise capped so each |alpha_i| stays within p^{1/2}.  Spectral
-    parameters are purely imaginary on an integer grid; adjoint L-values
-    are log-uniform in [0.1, 10].
+    parameters are purely imaginary on an integer grid, scaled by a factor
+    that is 1 up to N=3; adjoint L-values are log-uniform in [0.1, 10].
+    Each prime draws its e-rows from one stream, so the canonical roots are
+    those of ``sample_st_batch`` on the same generator.
     """
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
@@ -267,20 +289,21 @@ def synth_family(
     rng = RngSeed(seed).generator()
 
     grid_side = max(2, math.ceil(m ** (1.0 / (n - 1))))
-    # member j sits at 1 + the base-grid_side digits of j, least significant first
-    nus = (1j * (1 + np.arange(m)[:, None] // grid_side ** np.arange(n - 1) % grid_side)).tolist()
-    members = []
-    banks = {p: sample_st_batch(n, m, rng) for p in primes}
+    # member j sits at 1 + the base-grid_side digits of j, least significant first,
+    # times (3/N)^2.5 above N=3: Laplace eigenvalues on the integer grid grow like
+    # N^5, and the smallest would make every Gaussian weight at T=10 underflow
+    nu = np.zeros((m, n - 1), dtype=np.complex128)
+    nu.imag = min(1.0, (3 / n) ** 2.5) * (1 + np.arange(m)[:, None] // grid_side ** np.arange(n - 1) % grid_side)
+    # column-major, as a spec's monomial reads e one column at a time
+    e = {p: np.asfortranarray(_haar_su_varrho(n, m, rng)) for p in primes}
+    alphas = dict.fromkeys(e)  # None: the roots of e[p], formed where eigenvalues are needed
     if mode == "t1-perturbed":
-        banks = {p: perturb_radial(bank, p, rng) for p, bank in banks.items()}
-    banks = {p: canonicalize_batch(bank).tolist() for p, bank in banks.items()}
+        alphas = {p: canonicalize_batch(perturb_radial(_canonical_roots(rows), p, rng)) for p, rows in e.items()}
+        e = {}
     l1 = 10.0 ** rng.uniform(-1.0, 1.0, size=m)
-
-    for j in range(m):
-        nu = SpectralParameter(n, nus[j])
-        satake = {p: SatakeParameter(n, banks[p][j]) for p in primes}
-        members.append(FamilyMember(nu=nu, l1_adjoint=float(l1[j]), satake=satake))
-    return Family(n=n, members=tuple(members), label=f"synthetic-{mode}")
+    fam = Family.__new__(Family)
+    fam._fill(n, f"synthetic-{mode}", nu, l1, ((None, tuple(alphas)),) * m, {}, alphas, e)
+    return fam
 
 
 @dataclass(frozen=True)
@@ -311,8 +334,8 @@ def equidist_report(
 
     if len(family) == 0:
         raise FamilyValidationError("empty family")
-    weight_columns = _weight_columns(family, h, t_grid)
-    e = _e_columns(family, p)
+    weight_columns = [h.evaluate(family.lam, float(t)) / family.l1 for t in t_grid]  # per member, one per scale
+    e = family.e.get(p, family._a_rows)  # the stored A[k] where no member has a parameter at p
     rows = []
     for spec in specs:
         oracle = trivial_multiplicity(spec)
@@ -339,6 +362,7 @@ _TOP_KEYS = {"N", "label", "members"}
 # member fields and the JSON type each must have; L1Ad may be a number or a numeric string.
 # A JSON true/false is a Python bool, hence an int, and is rejected separately.
 _MEMBER_KEYS = {"nu": list, "L1Ad": (int, float, str), "coefficients": dict, "satake": dict}
+_JSON_NUMBERS = (float, int)  # the types json gives numbers; a subclass takes the longer check
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -371,24 +395,30 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _is_number(v) -> bool:
+    """An int or a float, and not a bool: a JSON true/false is a Python bool, hence an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _pair_to_complex(pair) -> complex:
-    numbers = isinstance(pair, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-    if numbers and len(pair) == 2:
-        z = complex(float(pair[0]), float(pair[1]))
-        if cmath.isfinite(z):
-            return z
+    if isinstance(pair, list) and len(pair) == 2:
+        a, b = pair
+        if (type(a) in _JSON_NUMBERS or _is_number(a)) and (type(b) in _JSON_NUMBERS or _is_number(b)):
+            z = complex(a, b)
+            if cmath.isfinite(z):
+                return z
     raise FamilyValidationError(f"expected a finite [re, im] pair, got {pair!r}")
 
 
 def family_from_dict(data: dict) -> Family:
     """Parse and validate the family JSON document.
 
-    Each member's structure is parsed in file order; the numeric checks then
-    run in batches, each over the members before the earliest fault found so
-    far: one canonicalize_batch per prime, and one Schur evaluation per group
-    of members that share a prime and a tuple of coefficient keys.  A faulty
-    document is reported at its lowest-numbered faulty member, with the first
-    fault in that member's own field order.
+    Each member's fields are parsed in file order into column lists; the
+    numeric checks then run in batches over the members before the earliest
+    fault found so far: one canonicalize_batch per prime, and one Schur
+    evaluation per prime and tuple of coefficient keys.  A faulty document
+    is reported at its lowest-numbered faulty member, with the first fault in
+    that member's own field order.
     """
     if not isinstance(data, dict):
         raise FamilyValidationError("family document must be a JSON object")
@@ -409,133 +439,166 @@ def family_from_dict(data: dict) -> Family:
         raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
     # a fault is (member, where in that member, error); a structural fault
     # sits after the member's Satake rows parsed before it
-    members, rows, fault = [], [], None
+    cols, fault = _Columns(n), None
     for pos, raw in enumerate(raw_members):
-        first_row = len(rows)
         try:
-            members.append(_member_from_dict(raw, n, pos, rows))
+            cols.parse(raw)
         except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
-            fault = (pos, len(rows) - first_row, exc)
+            fault = (pos, cols.pending, exc)
             break
-    fault = _canonicalize_rows(n, rows, fault)
-    fault = _coherence_fault(members[: fault[0] if fault else None]) or fault
+    rows, fault = cols.canonicalize(fault)
+    fam = Family.__new__(Family)
+    if fault is None or fault[0] > 0:  # the members before the earliest fault, if any
+        cols.fill(fam, label, rows, fault[0] if fault else None)
+        fault = _coherence_fault(fam) or fault
     if fault:
         pos, _, exc = fault
         raise FamilyValidationError(f"member {pos}: {exc}") from exc
-    return Family(n=n, members=tuple(members), label=label)
+    return fam
 
 
-class _SatakeRow(NamedTuple):
-    """One Satake entry of the document, canonicalised later into ``satake[p]``."""
+class _Columns:
+    """A family's columns as lists, appended one member at a time."""
 
-    member: int
-    index: int  # position among the member's Satake keys
-    satake: dict
-    p: int
-    alphas: list[complex]
+    def __init__(self, n: int):
+        self.n, self.pending = n, 0  # pending: Satake rows of the member being appended
+        self.members: list[tuple] = []  # (nu, l1, (indices, primes)), each of the last two a tuple or None
+        self.coef: dict = {}  # coefficient key -> (index, members, values)
+        self.rows: dict = {}  # prime -> (members, eigenvalue rows)
+        self.order: list[tuple] = []  # (member, place among its primes, prime, row), in file order
+        self.primes, self.layouts = {}, {}  # Satake key -> prime; (coefficient keys, Satake keys) -> keys
 
+    def add(self, mem: FamilyMember) -> None:
+        pos, self.pending = len(self.members), 0
+        if mem.nu.n != self.n:
+            raise ValueError("all members must share the family rank")
+        for idx, value in (mem.coefficients or {}).items():
+            self._append(idx, idx, pos, value)
+        for p, x in (mem.satake or {}).items():
+            self._row(p, pos, x.alphas)
+        keys = tuple(None if d is None else tuple(d) for d in (mem.coefficients, mem.satake))
+        self.members.append((mem.nu.nu, mem.l1_adjoint, keys))
 
-def _member_from_dict(raw, n: int, pos: int, rows: list[_SatakeRow]) -> FamilyMember:
-    """One member's structure, with its Satake entries appended to rows
-    (not yet canonicalised); any malformed field raises ValueError."""
-    if not isinstance(raw, dict):
-        raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
-    unknown = set(raw) - set(_MEMBER_KEYS)
-    if unknown:
-        raise FamilyValidationError(f"unknown fields {sorted(unknown)}")
-    missing = sorted({"nu", "L1Ad"} - set(raw))
-    if missing:
-        raise FamilyValidationError(f"missing fields {missing}")
-    wrong = sorted(key for key, kind in _MEMBER_KEYS.items()
-                   if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)))
-    if wrong:
-        raise FamilyValidationError(f"wrong JSON type for {wrong}")
-    nu = SpectralParameter(n, tuple(_pair_to_complex(v) for v in raw["nu"]))
-    coeffs = None
-    if "coefficients" in raw:
-        coeffs = {}
-        for key, pair in raw["coefficients"].items():
-            l = tuple(_decimal(v) for v in key.split(","))
-            if sum(l) > MAX_INDEX_DEGREE:
-                raise FamilyValidationError(f"coefficient index {key!r}: |l| = {sum(l)} exceeds {MAX_INDEX_DEGREE}")
-            coeffs[CoefficientIndex(n, l)] = _pair_to_complex(pair)
-    satake = None
-    if "satake" in raw:
-        satake = {}
-        for key, vec in raw["satake"].items():
-            p = _decimal(key)
-            if not _is_prime(p):
+    def parse(self, raw) -> None:
+        """Append one member of the family document; a malformed field raises
+        ValueError (or OverflowError), after the ``pending`` Satake rows before it."""
+        n, pos, self.pending = self.n, len(self.members), 0
+        if not isinstance(raw, dict):
+            raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
+        if not raw.keys() <= _MEMBER_KEYS.keys():
+            raise FamilyValidationError(f"unknown fields {sorted(raw.keys() - _MEMBER_KEYS.keys())}")
+        if "nu" not in raw or "L1Ad" not in raw:
+            raise FamilyValidationError(f"missing fields {sorted({'nu', 'L1Ad'} - raw.keys())}")
+        nu, coefficients, satake = raw["nu"], raw.get("coefficients"), raw.get("satake")
+        wrong = [key for key, kind in _MEMBER_KEYS.items()
+                 if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind))]
+        if wrong:
+            raise FamilyValidationError(f"wrong JSON type for {sorted(wrong)}")
+        nu = [_pair_to_complex(v) for v in nu]
+        if len(nu) != n - 1:
+            raise FamilyValidationError(f"expected {n - 1} entries, got {len(nu)}")
+        for key, pair in (coefficients or {}).items():
+            if key not in self.coef:  # a key seen before is valid
+                l = tuple(_decimal(v) for v in key.split(","))
+                if sum(l) > MAX_INDEX_DEGREE:
+                    raise FamilyValidationError(f"coefficient index {key!r}: |l| = {sum(l)} exceeds {MAX_INDEX_DEGREE}")
+                _pair_to_complex(pair)  # the pair is checked before the index's length
+                self.coef[key] = (CoefficientIndex(n, l), [], [])
+            self._append(key, None, pos, _pair_to_complex(pair))
+        for key, vec in (satake or {}).items():
+            p = self.primes.get(key) or _decimal(key)
+            if not (key in self.primes or _is_prime(p)):
                 raise FamilyValidationError(f"key {key!r} is not prime")
+            self.primes[key] = p
             if not (isinstance(vec, list) and len(vec) == n):
                 raise FamilyValidationError(f"p={p}: expected a list of {n} pairs")
             try:
-                alphas = [_pair_to_complex(v) for v in vec]
+                self._row(p, pos, [_pair_to_complex(v) for v in vec])
             except ValueError as exc:
                 raise FamilyValidationError(f"p={p}: {exc}") from exc
-            rows.append(_SatakeRow(pos, len(satake), satake, p, alphas))
-            satake[p] = None  # holds the file's key order until the row is canonicalised
-    return FamilyMember(nu=nu, l1_adjoint=float(raw["L1Ad"]), coefficients=coeffs, satake=satake)
+        l1, c0 = float(raw["L1Ad"]), coefficients.get("0" + ",0" * (n - 2)) if coefficients else None
+        _check_member(l1, None if c0 is None else _pair_to_complex(c0))
+        layout = tuple(None if d is None else tuple(d) for d in (coefficients, satake))
+        if layout not in self.layouts:
+            self.layouts[layout] = (
+                None if coefficients is None else tuple(self.coef[key][0] for key in coefficients),
+                None if satake is None else tuple(self.primes[key] for key in satake),
+            )
+        self.members.append((nu, l1, self.layouts[layout]))
 
+    def _append(self, key, idx, pos: int, value: complex) -> None:
+        column = self.coef.get(key) or self.coef.setdefault(key, (idx, [], []))
+        column[1].append(pos)
+        column[2].append(value)
 
-def _canonicalize_rows(n: int, rows: list[_SatakeRow], fault):
-    """Canonicalise the rows before the fault into their members' dicts, one
-    canonicalize_batch per prime; returns the earliest fault, these rows' included."""
-    live = [row for row in rows if fault is None or (row.member, row.index) < fault[:2]]
-    try:
-        fixed = _batch_by_prime(live)
-    except ValueError:
-        # the failure path: the first row in file order that fails alone is the
-        # fault, and the rows before it all pass
-        for k, row in enumerate(live):
-            try:
-                canonicalize_batch(row.alphas)
-            except ValueError as exc:
-                fault, live = (row.member, row.index, FamilyValidationError(f"p={row.p}: {exc}")), live[:k]
-                break
-        fixed = _batch_by_prime(live)
-    for row in live:  # in file order, as each prime's batch
+    def _row(self, p: int, pos: int, row) -> None:
+        members, rows = self.rows.get(p) or self.rows.setdefault(p, ([], []))
+        members.append(pos)
+        rows.append(row)
+        self.order.append((pos, self.pending, p, row))
+        self.pending += 1
+
+    def canonicalize(self, fault):
+        """Each prime's rows before the fault in canonical form, one
+        canonicalize_batch per prime, and the earliest fault, theirs included."""
         try:
-            row.satake[row.p] = SatakeParameter(n, next(fixed[row.p]))
-        except ValueError as exc:
-            return (row.member, row.index, FamilyValidationError(f"p={row.p}: {exc}"))
-    return fault
+            return {p: canonicalize_batch(rows) for p, (_, rows) in self.rows.items()}, fault
+        except ValueError:
+            # the failure path: the first row in file order that fails alone is
+            # the fault, and the rows before it all pass
+            for k, (pos, index, p, row) in enumerate(self.order):
+                try:
+                    canonicalize_batch(row)
+                except ValueError as exc:
+                    live = Counter(q for _, _, q, _ in self.order[:k])
+                    fixed = {q: canonicalize_batch(self.rows[q][1][:count]) for q, count in live.items()}
+                    return fixed, (pos, index, FamilyValidationError(f"p={p}: {exc}"))
+            raise
+
+    def fill(self, family: Family, label: str, rows: dict | None = None, m: int | None = None) -> None:
+        """Give family the columns of the first m members (all by default), with
+        the canonical rows[p], if given, in place of the rows appended at p."""
+        n, kept = self.n, self.members[:m]
+        m, alphas, coefficients = len(kept), {}, {}
+        for p, (members, given) in self.rows.items():
+            k = bisect.bisect_left(members, m)
+            if k:
+                alphas[p] = np.full((m, n), np.nan, dtype=np.complex128)
+                alphas[p][members[:k]] = (given if rows is None else rows[p])[:k]
+        for idx, members, values in self.coef.values():
+            k = bisect.bisect_left(members, m)
+            col, mask = coefficients[idx] = np.zeros(m, dtype=np.complex128), np.zeros(m, dtype=bool)
+            col[members[:k]], mask[members[:k]] = values[:k], True
+        nu = np.array([mem[0] for mem in kept], dtype=np.complex128).reshape(m, n - 1)
+        l1 = np.array([mem[1] for mem in kept], dtype=float)
+        family._fill(n, label, nu, l1, tuple(mem[2] for mem in kept), coefficients, alphas, {})
 
 
-def _batch_by_prime(rows: list[_SatakeRow]) -> dict:
-    """One canonicalize_batch per prime: an iterator over its rows' canonical entries, in order."""
-    by_prime: dict[int, list[list[complex]]] = {}
-    for row in rows:
-        by_prime.setdefault(row.p, []).append(row.alphas)
-    return {p: iter(canonicalize_batch(alphas).tolist()) for p, alphas in by_prime.items()}
-
-
-def _coherence_fault(members: list[FamilyMember]):
+def _coherence_fault(family: Family):
     """The first coefficient, in member, prime and key order, that misses the
     character value ``coefficient(x, idx)`` of a stored parameter by more than
     CS_COHERENCE_TOL, or by a residual that is not a number (an overflowing
-    value), as a fault; one _schur call (one h recurrence) per group
-    of members that share a prime and a tuple of coefficient keys, at N <= 3
-    (one per member above, see _characters)."""
+    value), as a fault; one _schur call (one h recurrence) per prime and tuple
+    of coefficient keys at N <= 3 (one per member above, see _characters)."""
     groups: dict[tuple, list[int]] = {}
-    for pos, mem in enumerate(members):
-        if mem.coefficients and mem.satake:
-            for p in mem.satake:
-                groups.setdefault((p, tuple(mem.coefficients)), []).append(pos)
+    for j, (keys, primes) in enumerate(family._keys):
+        if keys and primes:
+            for p in primes:
+                groups.setdefault((p, keys), []).append(j)
     first = None
-    for (p, keys), positions in groups.items():
+    for (p, keys), members in groups.items():
         lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
-        alphas = np.array([members[j].satake[p].alphas for j in positions])
-        vals = np.array([list(members[j].coefficients.values()) for j in positions])
+        vals = np.stack([family.coefficients[idx][members] for idx in keys], axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-            chars = _characters(alphas, lams)
+            chars = _characters(family.alphas(p)[members], lams)
         # numpy's complex abs may differ from Python's in the last bit: screen
         # with a margin, then decide and report with abs() on the scalars;
         # both tests are negated <= so that a NaN residual fails
         for g, k in np.argwhere(~(np.abs(vals - chars) <= CS_COHERENCE_TOL * (1 - 1e-9))):
             residual = abs(complex(vals[g, k]) - complex(chars[g, k]))
             if not residual <= CS_COHERENCE_TOL:
-                j = positions[g]
-                where = (list(members[j].satake).index(p), int(k))
+                j = members[g]
+                where = (family._keys[j][1].index(p), int(k))
                 if first is None or (j, where) < first[:2]:
                     first = (j, where, FamilyValidationError(
                         f"coefficient {keys[k].l} incoherent with the "
@@ -557,24 +620,22 @@ def _characters(alphas: np.ndarray, lams) -> np.ndarray:
 
 
 def family_to_dict(family: Family) -> dict:
-    out_members = []
-    for mem in family.members:
-        raw = {
-            "nu": [[v.real, v.imag] for v in mem.nu.nu],
-            "L1Ad": mem.l1_adjoint,
-        }
-        if mem.coefficients is not None:
-            raw["coefficients"] = {
-                ",".join(str(v) for v in idx.l): [c.real, c.imag]
-                for idx, c in mem.coefficients.items()
-            }
-        if mem.satake is not None:
-            raw["satake"] = {
-                str(p): [[a.real, a.imag] for a in x.alphas]
-                for p, x in mem.satake.items()
-            }
-        out_members.append(raw)
-    return {"N": family.n, "label": family.label, "members": out_members}
+    """The family document, written from the columns in each member's key order."""
+    def pairs(a: np.ndarray) -> list:
+        return np.stack((a.real, a.imag), axis=-1).tolist()
+
+    nus = pairs(family.nu)
+    coefficients = {idx: (",".join(str(v) for v in idx.l), pairs(v)) for idx, v in family.coefficients.items()}
+    satake = {p: (str(p), pairs(family.alphas(p))) for p in family.e}
+    members = []
+    for j, (l1, (keys, primes)) in enumerate(zip(family.l1.tolist(), family._keys)):
+        raw = {"nu": nus[j], "L1Ad": l1}
+        if keys is not None:
+            raw["coefficients"] = {coefficients[idx][0]: coefficients[idx][1][j] for idx in keys}
+        if primes is not None:
+            raw["satake"] = {satake[p][0]: satake[p][1][j] for p in primes}
+        members.append(raw)
+    return {"N": family.n, "label": family.label, "members": members}
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -8,6 +8,7 @@ region are tolerance-based membership tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ __all__ = [
     "hecke_check_n3",
 ]
 
-PRODUCT_TOL = 1e-6
+PRODUCT_TOL = 1e-6  # of a raw tuple, before canonicalize rescales it
+PARAMETER_TOL = 1e-12  # of a SatakeParameter
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,13 @@ class SatakeParameter:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"rank must be >= 2, got {self.n}")
-        alphas = tuple(complex(a) for a in self.alphas)
+        alphas = tuple(map(complex, self.alphas))
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(alphas)}")
-        prod = np.prod(np.asarray(alphas))
-        if abs(prod - 1.0) > 1e-12:
+        prod = math.prod(alphas[1:], start=alphas[0])  # as np.prod: no factor 1 + 0j
+        # hypot is abs, but inf where abs would overflow; negated, so that NaN fails
+        if not math.hypot(prod.real - 1.0, prod.imag) <= PARAMETER_TOL:
             raise ValueError(
                 f"eigenvalue product {prod} deviates from 1 beyond 1e-12; "
                 "build parameters through canonicalize()"
@@ -66,15 +69,17 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     """Canonicalize a batch of eigenvalue tuples of shape (..., N).
 
     Rescales each tuple by the minimal-rotation N-th root of the inverse
-    product (the principal root), then sorts canonically.
+    product (the principal root), then sorts canonically.  Every row of the
+    result is a valid SatakeParameter.
     """
     arr = np.asarray(raw, dtype=np.complex128)
     n = arr.shape[-1]
     if np.any(arr == 0):
         raise ValueError("zero entry in Satake parameter")
-    prod = np.prod(arr, axis=-1)
-    rel = np.abs(prod - 1.0)
-    if np.any(rel > PRODUCT_TOL):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is judged below
+        prod = np.prod(arr, axis=-1)
+        rel = np.abs(prod - 1.0)
+    if not np.all(rel <= PRODUCT_TOL):  # negated, so that a NaN product fails
         raise ValueError(
             f"product deviates from 1 by {float(np.max(rel)):.3g} (tolerance {PRODUCT_TOL})"
         )
@@ -82,7 +87,16 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     # canonicalization is idempotent (re-scaling by prod^(-1/n) ~ 1 would
     # drift entries by an ulp on every pass)
     scale = np.where(rel > 1e-13, prod ** (-1.0 / n), 1.0)
-    return _sort_canonical(arr * scale[..., None])
+    out = _sort_canonical(arr * scale[..., None])
+    # entries far apart in size can under- or overflow the product in the canonical
+    # order; half the parameter's tolerance leaves room for math.prod's last bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.abs(np.prod(out, axis=-1) - 1.0)
+    if not np.all(drift <= PARAMETER_TOL / 2):
+        raise ValueError(
+            f"product of the canonical entries deviates from 1 by {float(np.max(drift)):.3g} (tolerance 5e-13)"
+        )
+    return out
 
 
 def canonicalize(raw) -> SatakeParameter:

@@ -132,7 +132,7 @@ class SpectralParameter:
 
     def __post_init__(self):
         _check_rank(self.n)
-        nu = tuple(complex(v) for v in self.nu)
+        nu = tuple(map(complex, self.nu))
         object.__setattr__(self, "nu", nu)
         if len(nu) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} entries, got {len(nu)}")

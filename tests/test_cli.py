@@ -271,6 +271,18 @@ class TestFailureContract:
         assert err["type"] == "FamilyValidationError"
         assert err["message"].startswith("member 0: ")
 
+    def test_ingest_rejects_an_overflowing_satake_product_quietly(self, tmp_path):
+        # the product is NaN, which `> tolerance` let through
+        path = tmp_path / "nan-product.json"
+        satake = {"2": [[1e200, 1e200], [1e200, 1e200], [1e-300, 0]]}
+        path.write_text(json.dumps({"N": 3, "members": [{"nu": NU3, "L1Ad": 1.0, "satake": satake}]}))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(satake_st.__file__)))}
+        args = [sys.executable, "-m", "satake_st.cli", "ingest", str(path)]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]  # one JSON object: no numpy warning before it
+        assert err["message"].startswith("member 0: p=2: product deviates from 1 by nan")
+
     def test_equidist_names_an_empty_family(self, runner, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"N": 3, "members": []}))

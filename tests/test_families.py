@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pathlib
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,8 +184,11 @@ class TestSynthFamily:
 
     def test_purely_imaginary_grid(self):
         fam = synth_family(4, 50, seed=9)
+        scale = (3 / 4) ** 2.5  # the integer grid's factor at N=4 (1 up to N=3)
         for mem in fam.members:
-            assert all(v.real == 0 and v.imag >= 1 for v in mem.nu.nu)
+            steps = [v.imag / scale for v in mem.nu.nu]
+            assert all(v.real == 0 for v in mem.nu.nu)
+            assert all(s >= 1 - 1e-12 and abs(s - round(s)) < 1e-9 for s in steps)
 
     def test_l1_range(self):
         fam = synth_family(3, 200, seed=10)
@@ -334,6 +339,16 @@ class TestSerialization:
         with pytest.raises(FamilyValidationError, match="member 0: coefficient index '1001,0'"):
             family_from_dict(doc)
 
+    # warnings are errors: the overflow must be judged, not reported on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_satake_product_that_is_not_a_number(self):
+        doc = {"N": 3, "members": [{
+            "nu": [[0, 1], [0, 1]], "L1Ad": 1.0,
+            "satake": {"2": [[1e200, 1e200], [1e200, 1e200], [1e-300, 0]]},
+        }]}
+        with pytest.raises(FamilyValidationError, match=r"^member 0: p=2: product deviates from 1 by nan"):
+            family_from_dict(doc)
+
     def test_rejects_bad_satake_product(self):
         doc = {
             "N": 2,
@@ -455,13 +470,55 @@ class TestColumnsBuiltOnce:
         fresh = equidist_report(Family(fam.n, fam.members, fam.label), 2, MIXED_SPECS, h, [10.0, 25.0])
         assert first == second == fresh
 
-    def test_columns_are_built_once_and_read_only(self):
-        fam = synth_family(3, 50, primes=(2, 3), seed=25)
-        e = families._e_columns(fam, 3)
-        assert families._e_columns(fam, 3) is e
-        families._weight_columns(fam, TestFunctionH.gaussian(), [10.0])
-        for column in (e, fam._columns["lam"], fam._columns["l1"]):
+    @pytest.mark.parametrize(
+        "make", [lambda: synth_family(3, 50, primes=(2, 3), seed=25), mixed_family], ids=["synthetic", "mixed"]
+    )
+    def test_public_columns_are_read_only(self, make):
+        fam = make()
+        columns = [fam.nu, fam.l1, fam.lam, *fam.e.values(), *fam.coefficients.values(), *fam.coefficient_mask.values()]
+        assert len(columns) >= 4
+        for column in columns:
             assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        with pytest.raises(TypeError):
+            fam.e[7] = fam.e[2]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "family-golden.json"
+
+
+class TestColumnStore:
+    def test_saving_a_loaded_file_reproduces_its_bytes(self, tmp_path):
+        # written by the member-by-member writer: a member without Satake data, one with
+        # coefficients only, two primes and the coefficient keys each in two orders
+        again = tmp_path / "again.json"
+        save_family(load_family(GOLDEN), again)
+        assert again.read_bytes() == GOLDEN.read_bytes()
+
+    def test_members_are_the_members_a_family_was_built_from(self):
+        x, y = (coherent_member(seed=s).satake[2] for s in (40, 41))
+        idx = [CoefficientIndex(3, l) for l in [(1, 0), (0, 0), (0, 1)]]
+        members = (
+            FamilyMember(SpectralParameter(3, (complex(-0.0, 1), 2j)), 0.5, {i: coefficient(x, i) for i in idx}, {5: x, 2: y}),
+            FamilyMember(NU0, 3.0, {i: coefficient(y, i) for i in idx[::-1]}),
+            FamilyMember(NU0, 1.5, {}, {}),
+            FamilyMember(SpectralParameter(3, (1j, -0.0j)), 2.0, None, {2: x, 5: y}),
+            *load_family(GOLDEN).members,
+        )
+        fam = Family(3, members, label="views")
+        assert fam.label == "views" and len(fam) == len(members)
+        assert same_bits(fam, SimpleNamespace(n=3, label="views", members=members))
+
+    @pytest.mark.parametrize("n", [18, 20, 24, 30])
+    def test_synthetic_weights_do_not_vanish_at_high_rank(self, n):
+        # the integer grid's smallest Laplace eigenvalue, 133,332 at N=20, underflowed exp(-lam/T^2)
+        fam = synth_family(n, 10, seed=0)
+        assert fam.lam.min() < 1200
+        h = TestFunctionH.gaussian()
+        assert all(weight(mem, h, 10.0) > 0 for mem in fam.members)
+        (row,) = equidist_report(fam, 2, [TensorSpec(n, (0,) * (2 * n - 2))], h, [10.0])
+        assert row.estimate == 1.0 and row.ess >= 1.0
 
 
 class TestEffectiveSampleSize:
@@ -479,6 +536,12 @@ class TestEffectiveSampleSize:
 
 
 class TestEmptyFamily:
+    def test_an_empty_family_of_a_huge_rank_loads_at_once(self):
+        # a member's nu has N-1 entries, but an empty family's rank is only a number
+        start = time.perf_counter()
+        fam = family_from_dict({"N": 10**9, "members": []})
+        assert (fam.n, len(fam), time.perf_counter() - start < 1.0) == (10**9, 0, True)
+
     def test_report_and_rate_name_the_empty_family(self):
         empty = Family(3, ())
         with pytest.raises(FamilyValidationError, match="^empty family$"):

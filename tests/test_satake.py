@@ -51,6 +51,19 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize([1.1, 1.0])
 
+    # warnings are errors: the overflow must be judged, not reported on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e200 + 1e200j, 1e200 + 1e200j, 1e-300]],
+        ids=["nan-entry", "infinite-entry", "overflowing-product"],
+    )
+    def test_rejects_a_product_that_is_not_a_number(self, row):
+        with pytest.raises(ValueError, match="product deviates from 1"):
+            canonicalize(row)
+        with pytest.raises(ValueError, match="product deviates from 1"):
+            canonicalize_batch([[1.0, 1.0, 1.0], row])
+
     def test_renormalizes_product(self):
         drift = 1 + 4e-7
         x = canonicalize([1j * drift, -1j])
@@ -78,6 +91,25 @@ class TestCanonicalize:
         thetas, perm = data
         raw = np.exp(1j * np.append(thetas, -np.sum(thetas)))
         assert canonicalize(raw[list(perm)]) == canonicalize(raw)
+
+
+class TestSatakeParameter:
+    def test_product_tolerance_is_closed_at_1e_12(self):
+        SatakeParameter(3, (1 + 0.99e-12, 1, 1))
+        SatakeParameter(3, (1j, -1j * (1 - 0.99e-12), 1))
+        for alphas in [(1 + 1.01e-12, 1, 1), (1j, -1j * (1 - 1.01e-12), 1)]:
+            with pytest.raises(ValueError, match=r"deviates from 1 beyond 1e-12"):
+                SatakeParameter(3, alphas)
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [(np.nan, 1, 1), (np.inf, 1, 1), (1.5e308 + 1.5e308j, 1, 1)],
+        ids=["nan", "infinite", "too-large-for-abs"],
+    )
+    def test_a_product_that_is_not_a_number_is_a_value_error(self, alphas):
+        # abs() of a complex with finite parts may overflow: still a ValueError
+        with pytest.raises(ValueError, match=r"deviates from 1 beyond 1e-12"):
+            SatakeParameter(3, alphas)
 
 
 class TestMembership:
