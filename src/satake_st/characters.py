@@ -319,6 +319,11 @@ def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
     h runs up to the largest lam_1 + len(lam) - 1, from the e-row by the duality
     sum_{i=0..N} (-1)^i e_i h_{r-i} = 0 for r >= 1 (Macdonald I.2.6'); each s_lam
     is the Jacobi-Trudi determinant det(h_{lam_i - i + j}).
+
+    A row's bits do not depend on its batch: each step's N products are one
+    array op, added left to right by Python's sum over the leading axis
+    (``.sum(axis=0)`` adds a lone 1-D row of four or more terms pairwise);
+    complex adds are per component, so a 1-D row's scalar adds agree with them.
     """
     n = arr.shape[-1]
     r_max = max((lam[0] + len(lam) - 1 for lam in lams if lam), default=0)
@@ -327,7 +332,8 @@ def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
     h = np.zeros((n + r_max,) + arr.shape[:-1], dtype=np.complex128)
     h[n - 1] = 1.0
     for r in range(n, n + r_max):
-        h[r] = (coeffs * h[r - n : r]).sum(axis=0)
+        terms = coeffs * h[r - n : r]
+        h[r] = sum(terms[1:], terms[0])
     out = []
     for lam in lams:
         m = len(lam)

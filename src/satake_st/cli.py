@@ -188,7 +188,7 @@ def sample(n, m, bins, out, fmt, seed, workers):
 @click.option("--family", "family_path", default=None, help="Family JSON to analyze.")
 @click.option("--synth-size", default=0, type=int, help="Generate a synthetic family of this size.")
 @click.option("--synth-mode", type=click.Choice(["sato-tate", "t1-perturbed"]), default="sato-tate", show_default=True)
-@click.option("--max-degree", default=2, show_default=True, type=int)
+@click.option("--max-degree", default=2, show_default=True, type=click.IntRange(min=0))
 @click.option("--t-grid", "--T-grid", "t_grid", default="10,100", show_default=True)
 @click.option("--h-kind", type=click.Choice(["gaussian", "indicator"]), default="gaussian", show_default=True)
 @_flags(SEED)
@@ -230,7 +230,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
 @click.option("--rate", "mode", flag_value="rate")
 @click.option("--p", "p_text", default="2,3,5", show_default=True, help="Comma list of primes (--rate uses the first).")
 @click.option("--alpha", "alpha_text", default="0.109375,0.5,1.6666666667", show_default=True)
-@click.option("--max-degree", default=4, show_default=True, type=int)
+@click.option("--max-degree", default=4, show_default=True, type=click.IntRange(min=0))
 @click.option("--spec", "spec_text", default="1,0,0,0", show_default=True, help="Exponents for --rate.")
 @click.option("--t-grid", "--T-grid", "t_grid", default="10,30,100,300,1000", show_default=True)
 @click.option("--theta", default=7.0 / 64.0, show_default=True, type=float)

@@ -579,7 +579,7 @@ def _coherence_fault(family: Family):
     character value ``coefficient(x, idx)`` of a stored parameter by more than
     CS_COHERENCE_TOL, or by a residual that is not a number (an overflowing
     value), as a fault; one _schur call (one h recurrence) per prime and tuple
-    of coefficient keys at N <= 3 (one per member above, see _characters)."""
+    of coefficient keys."""
     groups: dict[tuple, list[int]] = {}
     for j, (keys, primes) in enumerate(family._keys):
         if keys and primes:
@@ -590,7 +590,7 @@ def _coherence_fault(family: Family):
         lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
         vals = np.stack([family.coefficients[idx][members] for idx in keys], axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-            chars = _characters(family.alphas(p)[members], lams)
+            chars = np.stack(_schur(family.alphas(p)[members], lams), axis=-1)
         # numpy's complex abs may differ from Python's in the last bit: screen
         # with a margin, then decide and report with abs() on the scalars;
         # both tests are negated <= so that a NaN residual fails
@@ -606,17 +606,6 @@ def _coherence_fault(family: Family):
                     ))
                 break
     return first
-
-
-def _characters(alphas: np.ndarray, lams) -> np.ndarray:
-    """(rows, keys) values s_lam at each row of alphas, bitwise those of
-    ``coefficient``, which evaluates one 1-D row.  The h recurrence sums N
-    terms: numpy adds them in order down a batch's columns, and on a 1-D row
-    in order only below four terms (pairwise from four on), so rows are
-    batched at N <= 3 and evaluated one at a time above."""
-    if alphas.shape[-1] <= 3:
-        return np.stack(_schur(alphas, lams), axis=-1)
-    return np.array([_schur(row, lams) for row in alphas])
 
 
 def family_to_dict(family: Family) -> dict:

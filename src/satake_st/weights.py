@@ -164,10 +164,10 @@ def b_entry(i: int, j: int, n: int) -> int:
 
 
 def b_matrix(n: int) -> np.ndarray:
-    """The (N-1)x(N-1) integer matrix of b_entry values."""
-    return np.array(
-        [[b_entry(i, j, n) for j in range(1, n)] for i in range(1, n)], dtype=np.int64
-    )
+    """The (N-1)x(N-1) integer matrix of b_entry values, by broadcasting."""
+    _check_rank(n)
+    i = np.arange(1, n, dtype=np.int64)
+    return np.where(i[:, None] + i <= n, np.outer(i, i), np.outer(n - i, n - i))
 
 
 @lru_cache(maxsize=None)

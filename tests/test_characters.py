@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
+    _schur,
     dim,
     dominant_part_sum,
     eval_char,
@@ -451,6 +452,29 @@ class TestEvalChar:
         idx = CoefficientIndex(3, (1000, 0))
         want = eval_char_bialternant(aleph(idx), x.as_array())
         assert abs(coefficient(x, idx) - want) < 1e-9 * abs(want)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+class TestShapeIndependence:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_row_has_the_same_bits_alone_as_one_row_and_in_a_batch(self, n):
+        # off the torus at |l| = 80 another order of adding up the h recurrence
+        # moves the last bits (numpy's .sum adds a 1-D row of four or more pairwise)
+        rng = np.random.default_rng(43)
+        batch = np.exp(rng.normal(scale=0.05, size=(300, n)) + 1j * rng.uniform(0, 2 * np.pi, size=(300, n)))
+        lams = [lam for lam in ([80], [40, 40], [3, 2, 1]) if len(lam) <= n]
+        mus = [DominantWeight(n, tuple(lam) + (0,) * (n - len(lam))) for lam in lams if len(lam) < n]
+        together = np.stack(_schur(batch, lams), axis=-1)
+        chars = np.stack([eval_char(mu, batch) for mu in mus], axis=-1)
+        for g in range(0, 300, 25):
+            row = batch[g]
+            assert np.array_equal(bits(_schur(row, lams)), bits(together[g]))
+            assert np.array_equal(bits(np.concatenate(_schur(row[None], lams))), bits(together[g]))
+            assert np.array_equal(bits([eval_char(mu, row) for mu in mus]), bits(chars[g]))
+            assert np.array_equal(bits([eval_char(mu, row[None])[0] for mu in mus]), bits(chars[g]))
 
 
 class TestUpToDegree:

@@ -429,12 +429,15 @@ class TestErrorBoundary:
             (["decompose", "--n", "3", "--spec", "1,,1,0,0"], "empty item"),
             (["equidist", "--n", "3", "--synth-size", "10", "--t-grid", ""], "empty item"),
             (["bound", "--verify", "--alpha", "", "--max-degree", "1"], "empty item"),
+            (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "-1"], "--max-degree"),
+            (["bound", "--verify", "--max-degree", "-1"], "--max-degree"),
         ],
         ids=[
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
             "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
             "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
             "spec-empty-item", "empty-t-grid", "empty-alpha",
+            "negative-max-degree-equidist", "negative-max-degree-bound",
         ],
     )
     def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):

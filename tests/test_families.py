@@ -41,18 +41,18 @@ from oracles import eval_char_bialternant, family_from_dict_per_member
 NU0 = SpectralParameter(3, (0, 0))
 
 
-def coherent_member(seed=0, primes=(2,), with_coeffs=False):
+def coherent_member(seed=0, primes=(2,), with_coeffs=False, n=3):
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0, 2 * np.pi, size=2)
-    x = canonicalize(np.exp(1j * np.array([theta[0], theta[1], -theta.sum()])))
+    theta = rng.uniform(0, 2 * np.pi, size=n - 1)
+    x = canonicalize(np.exp(1j * np.append(theta, -theta.sum())))
     satake = {p: x for p in primes}
     coeffs = None
     if with_coeffs:
         coeffs = {
             idx: coefficient(x, idx)
-            for idx in (CoefficientIndex(3, l) for l in [(0, 0), (0, 1), (1, 0), (1, 1)])
+            for idx in (CoefficientIndex(n, l) for l in itertools.product((0, 1), repeat=n - 1))
         }
-    return FamilyMember(nu=NU0, l1_adjoint=2.0, coefficients=coeffs, satake=satake)
+    return FamilyMember(nu=SpectralParameter(n, (0,) * (n - 1)), l1_adjoint=2.0, coefficients=coeffs, satake=satake)
 
 
 class TestTestFunction:
@@ -714,7 +714,8 @@ class TestBatchedLoader:
         doc = family_to_dict(Family(4, tuple(members)))
         assert same_bits(family_from_dict(doc), family_from_dict_per_member(doc))
 
-    def test_one_batch_per_prime_and_one_schur_call_per_key_tuple(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_batch_per_prime_and_one_schur_call_per_key_tuple(self, monkeypatch, n):
         calls = {"canonicalize_batch": 0, "_schur": 0}
         for name in calls:
             def counted(*args, _f=getattr(families, name), _name=name):
@@ -722,8 +723,8 @@ class TestBatchedLoader:
                 return _f(*args)
 
             monkeypatch.setattr(families, name, counted)
-        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True) for s in range(40)]
-        fam = family_from_dict(family_to_dict(Family(3, tuple(members))))
+        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True, n=n) for s in range(40)]
+        fam = family_from_dict(family_to_dict(Family(n, tuple(members))))
         assert len(fam) == 40
         assert calls == {"canonicalize_batch": 2, "_schur": 2}
 

@@ -79,6 +79,12 @@ class TestBMatrix:
         b = b_matrix(n)
         assert np.array_equal(b, b.T)
 
+    def test_matrix_is_the_entry_table(self):
+        for n in range(2, 41):
+            b = b_matrix(n)
+            table = [[b_entry(i, j, n) for j in range(1, n)] for i in range(1, n)]
+            assert b.dtype == np.int64 and b.tolist() == table
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             b_entry(0, 1, 3)
