@@ -78,6 +78,8 @@ class TestFunctionH:
         if self.kind == "custom-table":
             if len(self.xs) != len(self.ys) or len(self.xs) < 2:
                 raise ValueError("custom-table needs matching xs/ys with >= 2 points")
+            if not all(map(math.isfinite, self.xs + self.ys)):
+                raise ValueError("custom-table xs and values must be finite")
             if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
                 raise ValueError("custom-table xs must be strictly increasing")
             if any(y < 0 for y in self.ys):
@@ -159,7 +161,7 @@ class Family:
         index -> (values, mask); alphas: prime -> (m, N) canonical rows, or None for the roots of e[p]."""
         self.n, self.label, self._keys, self._alphas = n, label, keys, alphas
         with np.errstate(over="ignore", invalid="ignore"):  # huge valid entries give inf, as in a report
-            # a member's nu has N-1 entries, so only an empty family may have a rank too large to tabulate
+            # an empty family's N is bounded by no nu, and even the index vector of ell would not fit at N = 10^9
             self.lam = _read_only(laplace_eigenvalues(n, nu).real if len(nu) else np.zeros(0))
             e = {**e, **{p: elementary_symmetric(_read_only(rows)) for p, rows in alphas.items() if rows is not None}}
         self.nu, self.l1 = _read_only(nu), _read_only(l1)
@@ -205,7 +207,7 @@ def weight(member: FamilyMember, h: TestFunctionH, t: float) -> float:
 
 
 def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, float]:
-    """Weighted mean and its linearized standard error."""
+    """Weighted mean and its linearized standard error; FamilyValidationError unless both are finite."""
     values = np.asarray(values, dtype=np.complex128)
     weights = np.asarray(weights, dtype=float)
     # summing numerator and denominator in the same dtype keeps the mean of a
@@ -218,6 +220,8 @@ def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, flo
     # even for equal operands, and a constant integrand must average to 1
     mean = complex((values * wc).sum()) / complex(total)
     se = math.sqrt(float((weights**2 * np.abs(values - mean) ** 2).sum())) / total.real
+    if not (cmath.isfinite(mean) and math.isfinite(se)):
+        raise FamilyValidationError(f"weighted mean {mean} or its standard error {se} is not finite")
     return mean, se
 
 
@@ -244,6 +248,8 @@ def _spec_values(spec: TensorSpec, e: np.ndarray, p: int) -> np.ndarray:
     return vals
 
 
+# an overflowing weight or value gives a non-finite statistic, which weighted_stat rejects
+@np.errstate(over="ignore", invalid="ignore")
 def l_functional(
     family: Family, p: int, f, h: TestFunctionH, t: float
 ) -> complex:
@@ -321,6 +327,7 @@ class EquidistRow:
         return abs(self.estimate - self.oracle)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as for l_functional
 def equidist_report(
     family: Family,
     p: int,

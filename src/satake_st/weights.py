@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "aleph",
     "aleph_inv",
     "b_entry",
-    "b_matrix",
     "langlands",
     "laplace_eigenvalue",
     "laplace_eigenvalues",
@@ -163,36 +161,25 @@ def b_entry(i: int, j: int, n: int) -> int:
     return (n - i) * (n - j)
 
 
-def b_matrix(n: int) -> np.ndarray:
-    """The (N-1)x(N-1) integer matrix of b_entry values, by broadcasting."""
-    _check_rank(n)
-    i = np.arange(1, n, dtype=np.int64)
-    return np.where(i[:, None] + i <= n, np.outer(i, i), np.outer(n - i, n - i))
-
-
-@lru_cache(maxsize=None)
-def _langlands_matrix(n: int) -> np.ndarray:
-    """Integer matrix L with ell = L @ nu; every column of L sums to 0 exactly."""
-    b = b_matrix(n)
-    rows = np.empty((n, n - 1), dtype=np.int64)
-    rows[0] = b[:, n - 2]  # B_{N-1}
-    for i in range(2, n):
-        rows[i - 1] = b[:, n - i - 1] - b[:, n - i]  # B_{N-i} - B_{N-i+1}
-    rows[n - 1] = -b[:, 0]  # -B_1
-    rows.setflags(write=False)
-    return rows
+def _ell(n: int, nu_rows) -> np.ndarray:
+    """ell for each row of an (m, N-1) array of nu, by two cumulative sums; a row's value is independent of m."""
+    nu = np.asarray(nu_rows, dtype=np.complex128).reshape(-1, n - 1)
+    j = np.arange(1, n)
+    ell = np.zeros((len(nu), n), dtype=np.complex128)
+    ell[:, :-1] = np.cumsum(((n - j) * nu)[:, ::-1], axis=1)[:, ::-1]
+    ell[:, 1:] -= np.cumsum(j * nu, axis=1)
+    return ell
 
 
 def langlands(nu: SpectralParameter) -> np.ndarray:
-    """Length-N parameter ell derived from nu; entries sum to zero."""
-    mat = _langlands_matrix(nu.n)
-    return mat.astype(np.complex128) @ np.asarray(nu.nu, dtype=np.complex128)
+    """Length-N parameter ell_i = sum_{j>=i} (N-j) nu_j - sum_{j<i} j nu_j; entries sum to zero."""
+    return _ell(nu.n, [nu.nu])[0]
 
 
 def laplace_eigenvalues(n: int, nu_rows) -> np.ndarray:
-    """(N^3 - N)/24 - (1/2) sum ell_i^2 for each row of an (m, N-1) array of nu."""
-    nu = np.asarray(nu_rows, dtype=np.complex128).reshape(-1, n - 1)
-    ell = np.einsum("ij,kj->ik", nu, _langlands_matrix(n))  # no BLAS: a row's value is independent of m
+    """(N^3 - N)/24 - (1/2) sum ell_i^2 for each row of an (m, N-1) array of nu,
+    with ell_i = sum_{j>=i} (N-j) nu_j - sum_{j<i} j nu_j as in langlands."""
+    ell = _ell(n, nu_rows)
     return (n**3 - n) / 24 - 0.5 * np.sum(ell * ell, axis=-1)
 
 

@@ -17,7 +17,9 @@ None of these is used by the library itself:
 - ``sample_st_rejection`` draws SU(2) or SU(3) conjugacy classes by
   rejection against the Weyl density;
 - ``family_from_dict_per_member`` loads a family document one member at a
-  time, canonicalising and coherence-checking each member before the next.
+  time, canonicalising and coherence-checking each member before the next;
+- ``b_matrix`` and ``langlands_matrix`` tabulate the integer matrix L with
+  ell = L @ nu from the b_entry values, column by column.
 """
 
 import itertools
@@ -47,7 +49,7 @@ from satake_st.families import (
     _pair_to_complex,
 )
 from satake_st.satake import canonicalize, canonicalize_batch
-from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, aleph
+from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _check_rank, aleph
 
 
 def _height_key(coords: tuple[int, ...]) -> tuple:
@@ -335,3 +337,21 @@ def _check_member_coherence(member: FamilyMember) -> None:
                     f"coefficient {idx.l} incoherent with the "
                     f"parameter at p={p} (residual {residual:.3g})"
                 )
+
+
+def b_matrix(n: int) -> np.ndarray:
+    """The (N-1)x(N-1) integer matrix of b_entry values, by broadcasting."""
+    _check_rank(n)
+    i = np.arange(1, n, dtype=np.int64)
+    return np.where(i[:, None] + i <= n, np.outer(i, i), np.outer(n - i, n - i))
+
+
+def langlands_matrix(n: int) -> np.ndarray:
+    """Integer matrix L with ell = L @ nu; every column of L sums to 0 exactly."""
+    b = b_matrix(n)
+    rows = np.empty((n, n - 1), dtype=np.int64)
+    rows[0] = b[:, n - 2]  # B_{N-1}
+    for i in range(2, n):
+        rows[i - 1] = b[:, n - i - 1] - b[:, n - i]  # B_{N-i} - B_{N-i+1}
+    rows[n - 1] = -b[:, 0]  # -B_1
+    return rows

@@ -283,6 +283,17 @@ class TestFailureContract:
         err = json.loads(proc.stderr)["error"]  # one JSON object: no numpy warning before it
         assert err["message"].startswith("member 0: p=2: product deviates from 1 by nan")
 
+    def test_equidist_rejects_overflowing_weights_quietly(self, tmp_path):
+        # L1Ad = 1e-320 is finite and positive, but every weight h_T / L1Ad is inf and every row was NaN
+        path = tmp_path / "tiny-l1.json"
+        path.write_text(json.dumps({"N": 3, "members": [{"nu": NU3, "L1Ad": 1e-320, "satake": {"2": ONE3}}]}))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(satake_st.__file__)))}
+        args = [sys.executable, "-m", "satake_st.cli", "equidist", "--n", "3", "--family", str(path)]
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]  # one JSON object: no numpy warning before it
+        assert err["type"] == "FamilyValidationError" and "not finite" in err["message"]
+
     def test_equidist_names_an_empty_family(self, runner, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"N": 3, "members": []}))

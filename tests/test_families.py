@@ -83,6 +83,15 @@ class TestTestFunction:
             TestFunctionH.from_table([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             TestFunctionH("banana")
+        # NaN fails every comparison, so only a finiteness check rejects these
+        for xs, ys in [
+            ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
+            ([0.0, math.inf], [1.0, 1.0]),
+            ([0.0, 1.0], [1.0, math.nan]),
+            ([0.0, 1.0], [math.inf, 0.0]),
+        ]:
+            with pytest.raises(ValueError, match="must be finite"):
+                TestFunctionH.from_table(xs, ys)
 
 
 class TestWeight:
@@ -159,6 +168,20 @@ class TestLFunctional:
         mean, se = weighted_stat(values, weights)
         assert mean == 0.5
         assert se == pytest.approx(0.25)
+
+
+class TestOverflowingWeights:
+    # L(1, Ad) = 1e-320 is finite and positive, but h_T(nu) / L(1, Ad) overflows to inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_statistics_reject_the_overflow_quietly(self):
+        fam = Family(3, (FamilyMember(nu=NU0, l1_adjoint=1e-320, satake=coherent_member().satake),))
+        h = TestFunctionH.gaussian()
+        with pytest.raises(FamilyValidationError, match="not finite"):
+            equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 0))], h, [10.0])
+        with pytest.raises(FamilyValidationError, match="not finite"):
+            l_functional(fam, 2, lambda x: 1.0, h, 10.0)
+        with pytest.raises(FamilyValidationError, match="not finite"):
+            rate_report(Gl3BoundParams(2, (1, 0, 0, 0)), [10.0], family=fam)
 
 
 class TestSynthFamily:
@@ -651,7 +674,8 @@ def faulty_documents(draw):
         elif kind == "c0":
             coeffs[zero_key] = [2.0, 0.0]
         else:
-            numeric = sorted(k for k, v in coeffs.items() if isinstance(v[0], float))
+            # a "bad coefficient pair" fault may have left a malformed pair such as [1.0]
+            numeric = sorted(k for k, v in coeffs.items() if len(v) == 2 and all(isinstance(x, float) for x in v))
             key = draw(st.sampled_from(numeric)) if numeric else ",".join(["1"] + ["0"] * (n - 2))
             re, im = coeffs.get(key, [0.0, 0.0])
             coeffs[key] = [re + draw(st.sampled_from([1e-3, 0.5, 99.0])), im]

@@ -13,12 +13,13 @@ from satake_st.weights import (
     aleph,
     aleph_inv,
     b_entry,
-    b_matrix,
     is_dominant,
     langlands,
     laplace_eigenvalue,
     laplace_eigenvalues,
 )
+
+from oracles import b_matrix
 
 
 def idx_strategy(max_n=5, max_entry=6):
