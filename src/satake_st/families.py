@@ -7,10 +7,10 @@ the family is the statistic whose large-family limit is the
 conjugacy-class integral.
 
 A ``Family`` holds that data as read-only columns with one row per member,
-built once at construction.  Synthesis writes the columns directly, the
-loader parses a document into column lists and checks them in batches, and
-the writer reads them; ``Family.members`` builds ``FamilyMember`` views of
-the rows for callers that want one object per member.
+built once at construction.  ``Family(n, members)`` and the loader validate
+alike, report the first fault as ``member j: ...`` and hold canonical Satake
+parameters; synthesis writes trusted columns directly, and the writer reads
+them.  ``Family.members`` builds ``FamilyMember`` views of the rows.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ class FamilyMember:
         c0 = None if self.coefficients is None else self.coefficients.get(CoefficientIndex.zero(self.nu.n))
         _check_member(self.l1_adjoint, c0)
 
-    def satake_at(self, p: int) -> SatakeParameter:
-        if self.satake is None or p not in self.satake:
-            raise FamilyValidationError(f"member has no Satake parameter at p={p}")
-        return self.satake[p]
-
 
 class Family:
     """A family as read-only columns with one row per member, built once at construction.
@@ -148,13 +143,12 @@ class Family:
     parameter at: the e-rows of that parameter, else of the member's stored
     A[k] (the index with a single 1 in slot N-k), else NaN; and per stored
     index idx, ``coefficients[idx]`` (m,), valid where ``coefficient_mask[idx]``.
+    Members are validated as the loader validates a document, the first fault
+    raising FamilyValidationError("member j: ..."), and held in canonical order.
     """
 
     def __init__(self, n: int, members, label: str = ""):
-        cols = _Columns(n)
-        for mem in members:
-            cols.add(mem)
-        cols.fill(self, label)
+        _Columns(n).build(self, label, members, _Columns.add)
 
     def _fill(self, n, label, nu, l1, keys, coefficients, alphas, e) -> None:
         """keys[j]: member j's (indices, primes), each a tuple or None; coefficients:
@@ -219,7 +213,8 @@ def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, flo
     # divide as Python complex: numpy's complex scalar division is inexact
     # even for equal operands, and a constant integrand must average to 1
     mean = complex((values * wc).sum()) / complex(total)
-    se = math.sqrt(float((weights**2 * np.abs(values - mean) ** 2).sum())) / total.real
+    # from the normalised weights, so that huge weights do not overflow when squared
+    se = math.sqrt(float(((weights / total.real) ** 2 * np.abs(values - mean) ** 2).sum()))
     if not (cmath.isfinite(mean) and math.isfinite(se)):
         raise FamilyValidationError(f"weighted mean {mean} or its standard error {se} is not finite")
     return mean, se
@@ -265,7 +260,11 @@ def l_functional(
     if isinstance(f, TensorSpec):
         vals = _spec_values(f, family.e.get(p, family._a_rows), p)
     else:
-        vals = np.array([f(mem.satake_at(p)) for mem in family.members], dtype=np.complex128)
+        rows = family.alphas(p) if p in family.e else np.full((len(family), 1), np.nan)
+        lacking = np.flatnonzero(np.isnan(rows[:, 0]))
+        if lacking.size:
+            raise FamilyValidationError(f"member {lacking[0]}: no Satake parameter at p={p}")
+        vals = np.array([f(SatakeParameter(family.n, row)) for row in rows.tolist()], dtype=np.complex128)
     mean, _ = weighted_stat(vals, weights)
     return mean
 
@@ -418,15 +417,7 @@ def _pair_to_complex(pair) -> complex:
 
 
 def family_from_dict(data: dict) -> Family:
-    """Parse and validate the family JSON document.
-
-    Each member's fields are parsed in file order into column lists; the
-    numeric checks then run in batches over the members before the earliest
-    fault found so far: one canonicalize_batch per prime, and one Schur
-    evaluation per prime and tuple of coefficient keys.  A faulty document
-    is reported at its lowest-numbered faulty member, with the first fault in
-    that member's own field order.
-    """
+    """Parse and validate the family JSON document, as Family validates its members."""
     if not isinstance(data, dict):
         raise FamilyValidationError("family document must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -444,24 +435,7 @@ def family_from_dict(data: dict) -> Family:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
-    # a fault is (member, where in that member, error); a structural fault
-    # sits after the member's Satake rows parsed before it
-    cols, fault = _Columns(n), None
-    for pos, raw in enumerate(raw_members):
-        try:
-            cols.parse(raw)
-        except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
-            fault = (pos, cols.pending, exc)
-            break
-    rows, fault = cols.canonicalize(fault)
-    fam = Family.__new__(Family)
-    if fault is None or fault[0] > 0:  # the members before the earliest fault, if any
-        cols.fill(fam, label, rows, fault[0] if fault else None)
-        fault = _coherence_fault(fam) or fault
-    if fault:
-        pos, _, exc = fault
-        raise FamilyValidationError(f"member {pos}: {exc}") from exc
-    return fam
+    return _Columns(n).build(Family.__new__(Family), label, raw_members, _Columns.parse)
 
 
 class _Columns:
@@ -475,13 +449,46 @@ class _Columns:
         self.order: list[tuple] = []  # (member, place among its primes, prime, row), in file order
         self.primes, self.layouts = {}, {}  # Satake key -> prime; (coefficient keys, Satake keys) -> keys
 
+    def build(self, family: Family, label: str, items, append) -> Family:
+        """Give family the columns of items, appended in order by append (add or
+        parse) and checked in batches over the members before the earliest fault:
+        one canonicalize_batch per prime, one Schur evaluation per prime and tuple
+        of coefficient keys.  The lowest-numbered faulty member raises
+        FamilyValidationError("member j: ..."), at its first fault in field order."""
+        # a fault is (member, where in that member, error); a structural fault
+        # sits after the member's Satake rows appended before it
+        fault = None
+        for pos, item in enumerate(items):
+            try:
+                append(self, item)
+            except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
+                fault = (pos, self.pending, exc)
+                break
+        rows, fault = self.canonicalize(fault)
+        if fault is None or fault[0] > 0:  # the members before the earliest fault, if any
+            self.fill(family, label, rows, fault[0] if fault else None)
+            fault = _coherence_fault(family) or fault
+        if fault:
+            pos, _, exc = fault
+            raise FamilyValidationError(f"member {pos}: {exc}") from exc
+        return family
+
     def add(self, mem: FamilyMember) -> None:
-        pos, self.pending = len(self.members), 0
-        if mem.nu.n != self.n:
-            raise ValueError("all members must share the family rank")
+        """Append one FamilyMember after the field checks parse makes."""
+        n, pos, self.pending = self.n, len(self.members), 0
+        if mem.nu.n != n or not all(map(cmath.isfinite, mem.nu.nu)):
+            raise FamilyValidationError(f"nu must be {n - 1} finite entries, got {mem.nu.nu}")
         for idx, value in (mem.coefficients or {}).items():
+            if idx not in self.coef and (idx.n != n or sum(idx.l) > MAX_INDEX_DEGREE) or not cmath.isfinite(value):
+                raise FamilyValidationError(
+                    f"coefficient {idx.l} = {value}: need rank {n}, |l| <= {MAX_INDEX_DEGREE} and a finite value"
+                )
             self._append(idx, idx, pos, value)
         for p, x in (mem.satake or {}).items():
+            if not (p in self.rows or isinstance(p, (int, np.integer)) and _is_prime(int(p))):
+                raise FamilyValidationError(f"key {p!r} is not prime")
+            if x.n != n:
+                raise FamilyValidationError(f"p={p}: expected {n} entries, got {x.n}")
             self._row(p, pos, x.alphas)
         keys = tuple(None if d is None else tuple(d) for d in (mem.coefficients, mem.satake))
         self.members.append((mem.nu.nu, mem.l1_adjoint, keys))
@@ -562,16 +569,15 @@ class _Columns:
                     return fixed, (pos, index, FamilyValidationError(f"p={p}: {exc}"))
             raise
 
-    def fill(self, family: Family, label: str, rows: dict | None = None, m: int | None = None) -> None:
-        """Give family the columns of the first m members (all by default), with
-        the canonical rows[p], if given, in place of the rows appended at p."""
+    def fill(self, family: Family, label: str, rows: dict, m: int | None) -> None:
+        """Give family the columns of the first m members (all if None), with the canonical rows[p] at p."""
         n, kept = self.n, self.members[:m]
         m, alphas, coefficients = len(kept), {}, {}
-        for p, (members, given) in self.rows.items():
+        for p, (members, _) in self.rows.items():
             k = bisect.bisect_left(members, m)
             if k:
                 alphas[p] = np.full((m, n), np.nan, dtype=np.complex128)
-                alphas[p][members[:k]] = (given if rows is None else rows[p])[:k]
+                alphas[p][members[:k]] = rows[p][:k]
         for idx, members, values in self.coef.values():
             k = bisect.bisect_left(members, m)
             col, mask = coefficients[idx] = np.zeros(m, dtype=np.complex128), np.zeros(m, dtype=bool)

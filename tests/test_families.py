@@ -32,7 +32,7 @@ from satake_st.families import (
     weight,
     weighted_stat,
 )
-from satake_st.satake import canonicalize, coefficient, elementary_symmetric, in_T1
+from satake_st.satake import SatakeParameter, canonicalize, coefficient, elementary_symmetric, in_T1
 from satake_st.weights import CoefficientIndex, SpectralParameter, aleph
 
 from oracles import eval_char_bialternant, family_from_dict_per_member
@@ -162,6 +162,17 @@ class TestLFunctional:
         with pytest.raises(FamilyValidationError):
             l_functional(Family(3, (mem,)), 2, lambda x: 1.0, TestFunctionH.indicator(), 1.0)
 
+    def test_callable_reads_the_rows_at_p_alone(self, monkeypatch):
+        only_at_3 = FamilyMember(nu=NU0, l1_adjoint=1.0, satake={3: coherent_member(seed=4).satake[2]})
+        fam = Family(3, (coherent_member(seed=3, primes=(2, 3)), only_at_3))
+        monkeypatch.setattr(Family, "members", property(lambda self: pytest.fail("members built")))
+        h = TestFunctionH.gaussian()
+        assert l_functional(fam, 3, lambda x: 1.0, h, 5.0) == 1.0
+        with pytest.raises(FamilyValidationError, match=r"^member 1: no Satake parameter at p=2$"):
+            l_functional(fam, 2, lambda x: 1.0, h, 5.0)
+        with pytest.raises(FamilyValidationError, match=r"^member 0: no Satake parameter at p=5$"):
+            l_functional(fam, 5, lambda x: 1.0, h, 5.0)
+
     def test_weighted_stat_se(self):
         values = np.array([1.0, 0.0, 1.0, 0.0])
         weights = np.ones(4)
@@ -182,6 +193,63 @@ class TestOverflowingWeights:
             l_functional(fam, 2, lambda x: 1.0, h, 10.0)
         with pytest.raises(FamilyValidationError, match="not finite"):
             rate_report(Gl3BoundParams(2, (1, 0, 0, 0)), [10.0], family=fam)
+
+    # L(1, Ad) = 1e-200 gives finite weights near 1e200, whose squares overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_weights_give_a_finite_standard_error(self):
+        fam = Family(3, (FamilyMember(nu=NU0, l1_adjoint=1e-200, satake=coherent_member().satake),))
+        (row,) = equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 0))], TestFunctionH.gaussian(), [10.0])
+        assert (row.estimate, row.std_error, row.ess) == (1.0, 0.0, 1.0)
+        assert weighted_stat(np.array([1.0, 3.0]), np.array([1e200, 1e200])) == (2.0, pytest.approx(math.sqrt(0.5)))
+
+
+def _faulty_members():
+    x, a10 = coherent_member(seed=50).satake[2], CoefficientIndex(3, (1, 0))
+    return {
+        "incoherent coefficient": FamilyMember(NU0, 1.0, {a10: coefficient(x, a10) + 1}, {2: x}),
+        "rank-4 index": FamilyMember(NU0, 1.0, {CoefficientIndex(4, (1, 0, 0)): 0.5}),
+        "non-prime key": FamilyMember(NU0, 1.0, None, {4: x}),
+        "nan coefficient": FamilyMember(NU0, 1.0, {a10: complex(math.nan, 0.0)}),
+        "index above the bound": FamilyMember(NU0, 1.0, {CoefficientIndex(3, (MAX_INDEX_DEGREE + 1, 0)): 0.0}),
+        "infinite nu": FamilyMember(SpectralParameter(3, (math.inf, 0.0)), 1.0),
+        "rank-4 parameter": FamilyMember(NU0, 1.0, None, {2: coherent_member(seed=51, n=4).satake[2]}),
+    }
+
+
+class TestFamilyValidatesItsMembers:
+    @pytest.mark.parametrize("kind", list(_faulty_members()))
+    def test_rejects_what_the_loader_rejects(self, kind):
+        mem = _faulty_members()[kind]
+        with pytest.raises(FamilyValidationError, match="^member 0: "):
+            Family(3, (mem,))
+        with pytest.raises(FamilyValidationError, match="^member 1: "):
+            Family(3, (coherent_member(seed=52, with_coeffs=True), mem))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_built_family_round_trips_bit_for_bit(self, data):
+        # permuted parameters are held in canonical order, so the saved file loads back equal
+        n = data.draw(st.sampled_from([2, 3, 4]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        keys = [CoefficientIndex(n, l) for l in itertools.product(range(3), repeat=n - 1) if sum(l) <= 2]
+        members, params = [], []
+        for _ in range(data.draw(st.integers(0, 5))):
+            z = np.exp(rng.normal(scale=0.3, size=n - 1) + 1j * rng.uniform(0, 2 * np.pi, size=n - 1))
+            x = canonicalize(np.append(z, 1 / np.prod(z)))
+            primes = data.draw(st.lists(st.sampled_from([2, 3, 5]), unique=True, max_size=3))
+            chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+            permuted = SatakeParameter(n, tuple(rng.permutation(x.as_array())))
+            coeffs = {idx: coefficient(x, idx) for idx in chosen}
+            members.append(FamilyMember(
+                nu=SpectralParameter(n, tuple(rng.normal(size=n - 1) + 1j * rng.uniform(1, 20, size=n - 1))),
+                l1_adjoint=float(10 ** rng.uniform(-1, 1)),
+                coefficients=coeffs if chosen or data.draw(st.booleans()) else None,
+                satake=dict.fromkeys(primes, permuted) if primes or data.draw(st.booleans()) else None,
+            ))
+            params.append(x)
+        fam = Family(n, tuple(members), label="built")
+        assert all(y == x for mem, x in zip(fam.members, params) for y in (mem.satake or {}).values())
+        assert same_bits(family_from_dict(family_to_dict(fam)), fam)
 
 
 class TestSynthFamily:
@@ -523,7 +591,7 @@ class TestColumnStore:
         x, y = (coherent_member(seed=s).satake[2] for s in (40, 41))
         idx = [CoefficientIndex(3, l) for l in [(1, 0), (0, 0), (0, 1)]]
         members = (
-            FamilyMember(SpectralParameter(3, (complex(-0.0, 1), 2j)), 0.5, {i: coefficient(x, i) for i in idx}, {5: x, 2: y}),
+            FamilyMember(SpectralParameter(3, (complex(-0.0, 1), 2j)), 0.5, {i: coefficient(x, i) for i in idx}, {5: x, 2: x}),
             FamilyMember(NU0, 3.0, {i: coefficient(y, i) for i in idx[::-1]}),
             FamilyMember(NU0, 1.5, {}, {}),
             FamilyMember(SpectralParameter(3, (1j, -0.0j)), 2.0, None, {2: x, 5: y}),
@@ -740,6 +808,8 @@ class TestBatchedLoader:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_batch_per_prime_and_one_schur_call_per_key_tuple(self, monkeypatch, n):
+        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True, n=n) for s in range(40)]
+        doc = family_to_dict(Family(n, tuple(members)))  # built before counting: Family validates too
         calls = {"canonicalize_batch": 0, "_schur": 0}
         for name in calls:
             def counted(*args, _f=getattr(families, name), _name=name):
@@ -747,8 +817,7 @@ class TestBatchedLoader:
                 return _f(*args)
 
             monkeypatch.setattr(families, name, counted)
-        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True, n=n) for s in range(40)]
-        fam = family_from_dict(family_to_dict(Family(n, tuple(members))))
+        fam = family_from_dict(doc)
         assert len(fam) == 40
         assert calls == {"canonicalize_batch": 2, "_schur": 2}
 
