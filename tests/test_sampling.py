@@ -1,6 +1,9 @@
 """Haar class-measure sampler, Monte Carlo estimates, and GL(2) densities."""
 
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.integrate import quad
 
 from satake_st.characters import TensorSpec, trivial_multiplicity
 from satake_st import sampling
+from satake_st.families import synth_family
 from satake_st.satake import elementary_symmetric
 from satake_st.sampling import (
     McEstimate,
@@ -233,3 +237,55 @@ class TestDensities:
         edge = math.sqrt(2) + 1 / math.sqrt(2)
         with pytest.raises(ValueError):
             plancherel_density_gl2(edge, 2)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "mc-golden.json"
+
+
+def golden_specs(n: int) -> list[TensorSpec]:
+    """Every spec of degree <= 2 (<= 1 above N=4), and a few whose monomials take odd and even powers."""
+    k = 2 * (n - 1)
+    extra = {(3,) + (0,) * (k - 1), (5, 2) + (0,) * (k - 2), (0,) * (k - 2) + (4, 4), (0,) * (k - 2) + (2, 7), (1,) * k}
+    return TensorSpec.up_to_degree(n, 2 if n <= 4 else 1) + [TensorSpec(n, e) for e in sorted(extra)]
+
+
+def golden_values() -> dict:
+    """The seeded results that tests/data/mc-golden.json pins: float.hex of Monte Carlo
+    estimates, and sha256 of the C-order bytes of draws, banks and synthetic families."""
+
+    def sha(a) -> str:
+        return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+
+    mc, draws = {}, {}
+    for n in (2, 3, 4, 6, 10):
+        for m in (2, 3, 2000):
+            for spec in golden_specs(n):
+                est = mc_integrate(char_monomial(spec), n, m, seed=31)
+                key = f"n={n} m={m} spec={','.join(map(str, spec.exponents))}"
+                mc[key] = [est.mean.real.hex(), est.mean.imag.hex(), est.std_error.hex()]
+        for count in (1, 2, 3, 5, 2047, 2049, 20000):
+            draws[f"draw n={n} count={count}"] = sha(sampling._haar_su_varrho(n, count, RngSeed(32).generator()))
+        draws[f"sample_st n={n}"] = sha(sample_st(n, RngSeed(33).generator()).as_array())
+        for m in (1, 3, 2049):
+            draws[f"sample_bank n={n} m={m}"] = sha(sample_bank(n, m, seed=34))
+            draws[f"sample_st_batch n={n} count={m}"] = sha(sample_st_batch(n, m, RngSeed(35).generator()))
+    for n in (3, 4):
+        for mode in ("sato-tate", "t1-perturbed"):
+            for m in (1, 3, 1000):
+                fam = synth_family(n, m, mode=mode, primes=(2, 3), seed=36)
+                for p in (2, 3):
+                    if p in fam.e:
+                        draws[f"synth e n={n} {mode} m={m} p={p}"] = sha(fam.e[p])
+                    draws[f"synth alphas n={n} {mode} m={m} p={p}"] = sha(fam.alphas(p))
+    return {"mc": mc, "sha256": draws}
+
+
+class TestGoldenBits:
+    """Every seeded draw, bank and estimate keeps the bits it had when the golden file was written."""
+
+    def test_draws_banks_and_estimates_match_the_golden_file(self):
+        want, got = json.loads(GOLDEN.read_text()), golden_values()
+        for part in ("mc", "sha256"):
+            assert got[part].keys() == want[part].keys()
+            moved = [key for key in want[part] if got[part][key] != want[part][key]]
+            assert not moved, f"{len(moved)} of {len(want[part])} {part} values moved, e.g. {moved[:3]}"
