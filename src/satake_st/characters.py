@@ -116,15 +116,25 @@ class TensorSpec:
 
     def monomial(self, e: np.ndarray) -> np.ndarray:
         """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e; unused columns are not read.
-        A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated squaring."""
-        out = np.ones(e.shape[:-1], dtype=np.complex128)
+        A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
+        squaring; the product starts from the first factor, not from a multiplication by 1."""
+        factors = self._factors(e)
+        first = next(factors, None)
+        if first is None:
+            return np.ones(e.shape[:-1], dtype=np.complex128)
+        out = np.array(first, dtype=np.complex128, copy=np.may_share_memory(first, e) or None)  # never a view of e
+        for f in factors:
+            out *= f
+        return out
+
+    def _factors(self, e: np.ndarray):
+        """The factors of ``monomial``, one per nonzero exponent pair, in column order."""
         for k, (ik, ikp) in enumerate(zip(self.exponents[::2], self.exponents[1::2])):
             col = e[..., k]
             if min(ik, ikp):
-                out *= _power(col.real * col.real + col.imag * col.imag, min(ik, ikp))
+                yield _power(col.real * col.real + col.imag * col.imag, min(ik, ikp))
             if ik != ikp:
-                out *= _power(col if ik > ikp else np.conj(col), abs(ik - ikp))
-        return out
+                yield _power(col if ik > ikp else np.conj(col), abs(ik - ikp))
 
     def factor_weights(self) -> list[DominantWeight]:
         """Fundamental highest weights of the factors, with multiplicity."""

@@ -299,8 +299,7 @@ def synth_family(
     # N^5, and the smallest would make every Gaussian weight at T=10 underflow
     nu = np.zeros((m, n - 1), dtype=np.complex128)
     nu.imag = min(1.0, (3 / n) ** 2.5) * (1 + np.arange(m)[:, None] // grid_side ** np.arange(n - 1) % grid_side)
-    # column-major, as a spec's monomial reads e one column at a time
-    e = {p: np.asfortranarray(_haar_su_varrho(n, m, rng)) for p in primes}
+    e = {p: _haar_su_varrho(n, m, rng) for p in primes}  # column-major, as a monomial reads them
     alphas = dict.fromkeys(e)  # None: the roots of e[p], formed where eigenvalues are needed
     if mode == "t1-perturbed":
         alphas = {p: canonicalize_batch(perturb_radial(_canonical_roots(rows), p, rng)) for p, rows in e.items()}
@@ -476,9 +475,11 @@ class _Columns:
     def add(self, mem: FamilyMember) -> None:
         """Append one FamilyMember after the field checks parse makes."""
         n, pos, self.pending = self.n, len(self.members), 0
-        if mem.nu.n != n or not all(map(cmath.isfinite, mem.nu.nu)):
-            raise FamilyValidationError(f"nu must be {n - 1} finite entries, got {mem.nu.nu}")
+        if not (isinstance(mem.nu, SpectralParameter) and mem.nu.n == n and all(map(cmath.isfinite, mem.nu.nu))):
+            raise FamilyValidationError(f"nu must be a SpectralParameter of {n - 1} finite entries, got {mem.nu!r}")
         for idx, value in (mem.coefficients or {}).items():
+            if not (isinstance(idx, CoefficientIndex) and isinstance(value, (int, float, complex, np.number))):
+                raise FamilyValidationError(f"coefficient {idx!r} = {value!r}: need a CoefficientIndex and a number")
             if idx not in self.coef and (idx.n != n or sum(idx.l) > MAX_INDEX_DEGREE) or not cmath.isfinite(value):
                 raise FamilyValidationError(
                     f"coefficient {idx.l} = {value}: need rank {n}, |l| <= {MAX_INDEX_DEGREE} and a finite value"
@@ -487,8 +488,8 @@ class _Columns:
         for p, x in (mem.satake or {}).items():
             if not (p in self.rows or isinstance(p, (int, np.integer)) and _is_prime(int(p))):
                 raise FamilyValidationError(f"key {p!r} is not prime")
-            if x.n != n:
-                raise FamilyValidationError(f"p={p}: expected {n} entries, got {x.n}")
+            if not (isinstance(x, SatakeParameter) and x.n == n):
+                raise FamilyValidationError(f"p={p}: need a SatakeParameter of {n} entries, got {x!r}")
             self._row(p, pos, x.alphas)
         keys = tuple(None if d is None else tuple(d) for d in (mem.coefficients, mem.satake))
         self.members.append((mem.nu.nu, mem.l1_adjoint, keys))

@@ -9,7 +9,9 @@ of its coefficients, the paper's varrho coordinates, in which class functions ar
 ``mc_integrate`` integrates these rows and never forms eigenvalues, which
 ``sample_st_batch`` and ``sample_bank`` take as the polynomial's roots.
 A bank is one stream, a pure function of (N, sample count, seed): the same
-seed gives the same draws whatever the worker count.
+seed gives the same draws whatever the worker count.  It is a read-only
+column-major (m, N-1) array, written column by column by the Szego recursion,
+so an integrand reads each e_k as one contiguous column.
 """
 
 from __future__ import annotations
@@ -81,23 +83,32 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"rank must be >= 2, got {n}")
-    radius = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, count))) / np.arange(n - 1, 0, -1)[:, None]))
-    a = _unit(2 * np.pi * rng.random((n, count)))
+    radius = rng.random((n - 1, count))  # sqrt(1 - (1 - U)^(1/b)), in place
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    radius /= np.arange(n - 1, 0, -1)[:, None]
+    np.sqrt(np.negative(np.expm1(radius, out=radius), out=radius), out=radius)
+    theta = rng.random((n, count))
+    theta *= 2 * np.pi
+    a = _unit(theta)
     a[:-1] *= radius
-    # phi[j] is the coefficient of z^(k-j) in Phi_k; Phi_k^* has them reversed and conjugated
-    phi = np.zeros((n + 1, count), dtype=np.complex128)
-    phi[0] = 1.0
-    tmp = np.empty((n, count), dtype=np.complex128)
+    del radius, theta
+    # phi[j - 1] is the coefficient of z^(k-j) in Phi_k: the result's columns, then the constant term.
+    # The monic 1 is not stored: step k sets phi[k] = -conj(a[k]) and forms the k + 1 products a[k] *
+    # phi[k::-1], the first unused, in one call, which keeps numpy's FMA path (and bits) even at count 1.
+    buf = np.empty((count, n), dtype=np.complex128, order="F")
+    phi, tmp = buf.T, np.empty((n, count), dtype=np.complex128)
     for k in range(n):
-        term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])
-        phi[1 : k + 2] -= np.conjugate(term, out=term)
-    del radius, a, tmp  # freed before the result is copied out, to keep peak memory down
-    step = -_unit((2 * np.pi * rng.integers(0, n, size=count) - np.angle((-1) ** n * phi[n])) / n)
+        np.negative(np.conjugate(a[k], out=phi[k]), out=phi[k])
+        term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])[1:]
+        phi[:k] -= np.conjugate(term, out=term)
+    step = -_unit((2 * np.pi * rng.integers(0, n, size=count) - np.angle((-1) ** n * phi[n - 1])) / n)
     power = step.copy()
-    for k in range(1, n):
+    for k in range(n - 1):
         phi[k] *= power
         power *= step
-    return phi[1:n].T.copy()
+    del phi
+    buf.resize((count, n - 1), refcheck=False)  # drops the constant term in place; no view of buf is left
+    return buf
 
 
 def _unit(theta: np.ndarray) -> np.ndarray:
@@ -144,7 +155,7 @@ def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.nda
 
 
 def varrho_bank(n: int, m: int, seed: int) -> np.ndarray:
-    """Read-only (m, n-1) bank of rows e_1..e_{n-1} drawn from RngSeed(seed);
+    """Read-only column-major (m, n-1) bank of rows e_1..e_{n-1} drawn from RngSeed(seed);
     memoized, since the draw is a pure function of (n, m, seed)."""
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
@@ -154,33 +165,24 @@ def varrho_bank(n: int, m: int, seed: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _varrho_bank(n: int, m: int, seed: int) -> np.ndarray:
     """The bank of ``varrho_bank``; called positionally so every caller shares one key."""
-    # the draw's result is a fresh array made once its work arrays are freed: no copy needed
     bank = _haar_su_varrho(n, m, RngSeed(seed).generator())
     bank.setflags(write=False)
     return bank
 
 
 def sample_bank(n: int, m: int, seed: int) -> np.ndarray:
-    """(m, n) canonical eigenvalue rows: the roots of ``varrho_bank`` with the same arguments."""
+    """(m, n) canonical eigenvalue rows, a fresh array: the roots of the read-only column-major
+    (m, n-1) bank ``varrho_bank`` returns for the same arguments."""
     return _canonical_roots(varrho_bank(n, m, seed))
 
 
 def mc_integrate(f, n: int, m: int, seed: int, workers: int = 1) -> McEstimate:
     """Monte Carlo estimate of the conjugacy-class integral of f.
 
-    Parameters
-    ----------
-    f : callable
-        Applied to the full (m, n-1) array of rows (e_1, ..., e_{n-1}), the
-        varrho coordinates of the draws, not to eigenvalues; must return a
-        length-m array (vectorized over rows), e.g. ``char_monomial(spec)``.
-        ``sample_bank(n, m, seed)`` holds the same draws' eigenvalues.
-    n, m : int
-        Rank and sample count (m >= 2).
-    seed : int
-        Seed of the one stream ``varrho_bank`` draws from.
-    workers : int
-        Accepted for compatibility (>= 1); it does not change the draws or the estimate.
+    f is applied to the read-only column-major (m, n-1) bank ``varrho_bank(n, m, seed)``
+    of rows (e_1, ..., e_{n-1}), the varrho coordinates of the draws, not to eigenvalues
+    (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``.
+    m >= 2; ``workers`` (>= 1) is accepted for compatibility and changes nothing.
     """
     if m < 2:
         raise ValueError("need at least 2 samples")
@@ -189,10 +191,13 @@ def mc_integrate(f, n: int, m: int, seed: int, workers: int = 1) -> McEstimate:
     vals = np.asarray(f(varrho_bank(n, m, seed)), dtype=np.complex128)
     if vals.shape != (m,):
         raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
-    mean = vals.mean()
+    mean = np.add.reduce(vals) / m  # vals.mean() without its Python-level overhead
     dev = vals - mean
-    # summed by numpy's pairwise sum, not BLAS, so the bits do not depend on the thread count
-    std_error = math.sqrt(float(np.sum(dev.real * dev.real + dev.imag * dev.imag)) / (m * (m - 1)))
+    # |dev|^2 as real part squared plus imaginary part squared, formed in dev and summed
+    # by numpy's pairwise sum, not BLAS, so the bits do not depend on the thread count
+    parts = dev.view(np.float64)
+    np.multiply(parts, parts, out=parts)
+    std_error = math.sqrt(float(np.sum(np.add(dev.real, dev.imag, out=dev.real))) / (m * (m - 1)))
     return McEstimate(mean=complex(mean), std_error=std_error, samples=m)
 
 

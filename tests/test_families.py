@@ -213,6 +213,11 @@ def _faulty_members():
         "index above the bound": FamilyMember(NU0, 1.0, {CoefficientIndex(3, (MAX_INDEX_DEGREE + 1, 0)): 0.0}),
         "infinite nu": FamilyMember(SpectralParameter(3, (math.inf, 0.0)), 1.0),
         "rank-4 parameter": FamilyMember(NU0, 1.0, None, {2: coherent_member(seed=51, n=4).satake[2]}),
+        # wrong Python types, which a family file cannot give
+        "string coefficient": FamilyMember(NU0, 1.0, {a10: "x"}),
+        "tuple coefficient key": FamilyMember(NU0, 1.0, {(1, 0): 0.5}),
+        "tuple Satake parameter": FamilyMember(NU0, 1.0, None, {2: (1, 1, 1)}),
+        "tuple nu": FamilyMember((1j, 1j), 1.0),
     }
 
 

@@ -65,7 +65,25 @@ class TestSampler:
         for count in (1, 5000):
             rows = sampling._haar_su_varrho(n, count, RngSeed(2).generator())
             assert rows.shape == (count, n - 1) and rows.dtype == np.complex128
-            assert rows.flags.c_contiguous and rows.base is None  # holds no work array alive
+            # column-major, as a monomial reads it one column at a time, and holds no work array alive
+            assert rows.flags.f_contiguous and rows.base is None
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_banks_and_synthetic_columns_are_column_major(self, n):
+        bank = varrho_bank(n, 3000, seed=17)
+        assert bank.shape == (3000, n - 1) and bank.flags.f_contiguous and not bank.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 0
+        fam = synth_family(n, 50, primes=(2, 3), seed=18)
+        assert all(fam.e[p].flags.f_contiguous and not fam.e[p].flags.writeable for p in (2, 3))
+
+    def test_monomial_does_not_write_into_its_rows(self):
+        # a first factor e_k^1 is the column itself: the product must start from a copy
+        e = np.array([[1 + 2j, 3 - 1j], [0.5j, 2 + 0j]])
+        before = e.copy()
+        out = TensorSpec(3, (1, 0, 2, 1)).monomial(e)
+        assert np.array_equal(e, before)
+        assert np.allclose(out, e[:, 0] * e[:, 1] ** 2 * np.conj(e[:, 1]), rtol=1e-15)
 
     def test_first_moment_vanishes(self):
         for n in (2, 3, 4):
