@@ -91,7 +91,7 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     theta *= 2 * np.pi
     a = _unit(theta)
     a[:-1] *= radius
-    del radius, theta
+    del radius, theta  # freed before the recursion, whose three arrays set the peak
     # phi[j - 1] is the coefficient of z^(k-j) in Phi_k: the result's columns, then the constant term.
     # The monic 1 is not stored: step k sets phi[k] = -conj(a[k]) and forms the k + 1 products a[k] *
     # phi[k::-1], the first unused, in one call, which keeps numpy's FMA path (and bits) even at count 1.
