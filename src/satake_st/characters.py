@@ -119,10 +119,10 @@ class TensorSpec:
         A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
         squaring; the product starts from the first factor, not from a multiplication by 1."""
         factors = self._factors(e)
-        first = next(factors, None)
-        if first is None:
+        out = next(factors, None)
+        if out is None:
             return np.ones(e.shape[:-1], dtype=np.complex128)
-        out = np.array(first, dtype=np.complex128, copy=np.may_share_memory(first, e) or None)  # never a view of e
+        out = out.astype(np.complex128, copy=np.may_share_memory(out, e))  # never a view of e
         for f in factors:
             out *= f
         return out

@@ -14,6 +14,13 @@ None of these is used by the library itself:
   alternants (distinct eigenvalues only);
 - ``monomial_by_complex_power`` evaluates a spec's character monomial as
   ``e**i * conj(e)**i'`` column by column, with numpy's complex power;
+- ``haar_su_varrho_row_major`` is the Szego-recursion draw as it was before
+  banks were column-major: a (N+1, count) work array with the monic row,
+  then a transposing copy;
+- ``monomial_from_ones`` is ``TensorSpec.monomial`` multiplying each factor
+  into a fresh array of ones, and ``mc_estimate_from_bank`` is
+  ``mc_integrate``'s mean and standard error by ``mean()`` and three
+  temporaries: they pin the bits of the library's leaner forms;
 - ``sample_st_rejection`` draws SU(2) or SU(3) conjugacy classes by
   rejection against the Weyl density;
 - ``family_from_dict_per_member`` loads a family document one member at a
@@ -32,6 +39,7 @@ from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
     _canon,
+    _power,
     _schur,
     spec_product_table,
     weight_table,
@@ -48,6 +56,7 @@ from satake_st.families import (
     _is_prime,
     _pair_to_complex,
 )
+from satake_st.sampling import _unit
 from satake_st.satake import canonicalize, canonicalize_batch
 from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _check_rank, aleph
 
@@ -226,6 +235,47 @@ def monomial_by_complex_power(spec: TensorSpec, e: np.ndarray) -> np.ndarray:
         if ikp:
             out = out * np.conj(e[..., k]) ** ikp
     return out
+
+
+def haar_su_varrho_row_major(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of ``sampling._haar_su_varrho`` from a row-major work array, C-ordered."""
+    radius = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, count))) / np.arange(n - 1, 0, -1)[:, None]))
+    a = _unit(2 * np.pi * rng.random((n, count)))
+    a[:-1] *= radius
+    # phi[j] is the coefficient of z^(k-j) in Phi_k; Phi_k^* has them reversed and conjugated
+    phi = np.zeros((n + 1, count), dtype=np.complex128)
+    phi[0] = 1.0
+    tmp = np.empty((n, count), dtype=np.complex128)
+    for k in range(n):
+        term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])
+        phi[1 : k + 2] -= np.conjugate(term, out=term)
+    step = -_unit((2 * np.pi * rng.integers(0, n, size=count) - np.angle((-1) ** n * phi[n])) / n)
+    power = step.copy()
+    for k in range(1, n):
+        phi[k] *= power
+        power *= step
+    return phi[1:n].T.copy()
+
+
+def monomial_from_ones(spec: TensorSpec, e: np.ndarray) -> np.ndarray:
+    """``spec.monomial(e)``, each factor multiplied into a product that starts from ones."""
+    out = np.ones(e.shape[:-1], dtype=np.complex128)
+    for k, (ik, ikp) in enumerate(zip(spec.exponents[::2], spec.exponents[1::2])):
+        col = e[..., k]
+        if min(ik, ikp):
+            out *= _power(col.real * col.real + col.imag * col.imag, min(ik, ikp))
+        if ik != ikp:
+            out *= _power(col if ik > ikp else np.conj(col), abs(ik - ikp))
+    return out
+
+
+def mc_estimate_from_bank(spec: TensorSpec, bank: np.ndarray) -> tuple[complex, float]:
+    """Mean and standard error of ``monomial_from_ones`` over the rows of bank, as ``mc_integrate`` forms them."""
+    vals = monomial_from_ones(spec, bank)
+    m = len(vals)
+    mean = vals.mean()
+    dev = vals - mean
+    return complex(mean), math.sqrt(float(np.sum(dev.real * dev.real + dev.imag * dev.imag)) / (m * (m - 1)))
 
 
 def sample_st_rejection(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from satake_st.sampling import (
     varrho_bank,
 )
 
-from oracles import sample_st_rejection
+from oracles import haar_su_varrho_row_major, mc_estimate_from_bank, monomial_from_ones, sample_st_rejection
 
 
 def ks_distance(values, cdf) -> float:
@@ -323,3 +323,27 @@ class TestGoldenBits:
             assert got[part].keys() == want[part].keys()
             moved = [key for key in want[part] if got[part][key] != want[part][key]]
             assert not moved, f"{len(moved)} of {len(want[part])} {part} values moved, e.g. {moved[:3]}"
+
+
+class TestOracleBits:
+    """On any host, the column-major draw, the monomial and mc_integrate give the bits of the
+    row-major draw, the product started from ones and the reduction by mean() and three temporaries."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_draw_matches_the_row_major_recursion(self, n):
+        for count in (1, 2, 3, 2049, 20000):
+            got = sampling._haar_su_varrho(n, count, RngSeed(41).generator())
+            want = haar_su_varrho_row_major(n, count, RngSeed(41).generator())
+            assert got.tobytes() == want.tobytes(), count
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_monomials_and_estimates_match_the_oracles(self, n):
+        def bits(z: complex, s: float) -> tuple:
+            return z.real.hex(), z.imag.hex(), s.hex()
+
+        for m in (2, 3, 8193, 20000):
+            bank = haar_su_varrho_row_major(n, m, RngSeed(42).generator())
+            for spec in golden_specs(n):
+                assert spec.monomial(varrho_bank(n, m, 42)).tobytes() == monomial_from_ones(spec, bank).tobytes()
+                est = mc_integrate(char_monomial(spec), n, m, seed=42)
+                assert bits(est.mean, est.std_error) == bits(*mc_estimate_from_bank(spec, bank)), (m, spec)
