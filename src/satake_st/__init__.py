@@ -4,13 +4,10 @@ from .weights import (
     CoefficientIndex,
     DominantWeight,
     SpectralParameter,
-    WeightVector,
     aleph,
     aleph_inv,
-    b_entry,
     langlands,
     laplace_eigenvalue,
-    is_dominant,
 )
 from .characters import (
     CharacterTable,

@@ -21,7 +21,7 @@ from operator import add, eq, ge, gt
 
 import numpy as np
 
-from .weights import DominantWeight, WeightVector
+from .weights import DominantWeight
 
 __all__ = [
     "CharacterTable",
@@ -58,9 +58,8 @@ class CharacterTable:
     n: int
     terms: dict
 
-    def multiplicity(self, w: WeightVector | tuple) -> int:
-        key = w.coords if isinstance(w, WeightVector) else _canon(w)
-        return self.terms.get(key, 0)
+    def multiplicity(self, w: tuple) -> int:
+        return self.terms.get(_canon(w), 0)
 
     def mass(self) -> int:
         """Sum of all multiplicities (the dimension, for a genuine character)."""
@@ -115,17 +114,19 @@ class TensorSpec:
         return self.exponents[2 * (k - 1) + 1]
 
     def monomial(self, e: np.ndarray) -> np.ndarray:
-        """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e; unused columns are not read.
-        A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
-        squaring; the product starts from the first factor, not from a multiplication by 1."""
-        factors = self._factors(e)
+        """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e, an array of shape (...); unused columns are
+        not read. A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
+        squaring; the product starts from the first factor, not from a multiplication by 1. A lone row is a
+        batch of one, with its bits: numpy's scalar complex product rounds unlike its array loop."""
+        rows = e.reshape(-1, e.shape[-1])  # a view of a 2-D e
+        factors = self._factors(rows)
         out = next(factors, None)
         if out is None:
             return np.ones(e.shape[:-1], dtype=np.complex128)
-        out = out.astype(np.complex128, copy=np.may_share_memory(out, e))  # never a view of e
+        out = out.astype(np.complex128, copy=np.may_share_memory(out, rows))  # never a view of e
         for f in factors:
             out *= f
-        return out
+        return out.reshape(e.shape[:-1])
 
     def _factors(self, e: np.ndarray):
         """The factors of ``monomial``, one per nonzero exponent pair, in column order."""
@@ -314,13 +315,12 @@ def _signed_e_row(a: np.ndarray) -> np.ndarray:
     return row
 
 
-def elementary_symmetric(arr: np.ndarray) -> tuple[complex, ...] | np.ndarray:
-    """e_1..e_{N-1} of (..., N) eigenvalue arrays, vectorized."""
+def elementary_symmetric(arr: np.ndarray) -> np.ndarray:
+    """e_1..e_{N-1} of (..., N) eigenvalue arrays, vectorized: an array of shape (..., N-1)."""
     a = np.asarray(arr, dtype=np.complex128)
     e = _signed_e_row(a)[1 : a.shape[-1]]
     np.negative(e[::2], out=e[::2])  # e_k = (-1)^k row[k]: negate odd k
-    out = np.moveaxis(e, 0, -1)
-    return tuple(complex(v) for v in out) if out.ndim == 1 else out
+    return np.moveaxis(e, 0, -1)
 
 
 def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
@@ -355,7 +355,7 @@ def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
     return out
 
 
-def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
+def eval_char(mu: DominantWeight, alphas) -> np.ndarray:
     """Schur polynomial s_mu at the eigenvalue tuple(s) alphas.
 
     Vectorized over leading axes: alphas of shape (..., N) gives a result
@@ -371,7 +371,7 @@ def eval_char(mu: DominantWeight, alphas) -> complex | np.ndarray:
         raise ValueError("zero eigenvalue in character evaluation")
     lam = [p for p in mu.parts if p > 0]
     (out,) = _schur(arr, [lam])
-    return complex(out) if out.ndim == 0 else out
+    return out
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:

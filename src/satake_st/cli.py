@@ -21,7 +21,7 @@ from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bounds
 from .characters import TensorSpec, dim, tensor_decompose, trivial_multiplicity
 from .families import TestFunctionH, _is_prime, equidist_report, load_family, synth_family
 from .sampling import RngSeed, char_monomial, mc_integrate, sample_bank, st_density_gl2, varrho_bank
-from .satake import canonicalize_batch, hecke_residuals_n3
+from .satake import hecke_residuals_n3
 
 HECKE_TOL = 1e-10
 
@@ -275,7 +275,7 @@ def hecke(n, m, p_text, tol, out, fmt, seed, workers):
     rng = RngSeed(seed, stream=10_000).generator()
     m1 = max(2, m // 10)
     banks = [("T0", "", sample_bank(n, m, seed))] + [
-        ("T1", p, canonicalize_batch(sampling.perturb_radial(sampling.sample_st_batch(n, m1, rng), p, rng)))
+        ("T1", p, sampling.perturb_radial(sampling.sample_st_batch(n, m1, rng), p, rng))
         for p in primes
     ]
     rows = [

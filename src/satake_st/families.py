@@ -285,12 +285,13 @@ def synth_family(
     Each prime draws its e-rows from one stream, so the canonical roots are
     those of ``sample_st_batch`` on the same generator.
     """
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
     if m < 1:
         raise ValueError("family size must be >= 1")
     if mode not in ("sato-tate", "t1-perturbed"):
         raise ValueError(f"unknown synthesis mode {mode!r}")
+    _check_header(n)
+    if not all(type(p) is int and _is_prime(p) for p in primes):  # so that the saved keys load
+        raise FamilyValidationError(f"primes must be prime Python integers, got {primes!r}")
     rng = RngSeed(seed).generator()
 
     grid_side = max(2, math.ceil(m ** (1.0 / (n - 1))))
@@ -302,7 +303,7 @@ def synth_family(
     e = {p: _haar_su_varrho(n, m, rng) for p in primes}  # column-major, as a monomial reads them
     alphas = dict.fromkeys(e)  # None: the roots of e[p], formed where eigenvalues are needed
     if mode == "t1-perturbed":
-        alphas = {p: canonicalize_batch(perturb_radial(_canonical_roots(rows), p, rng)) for p, rows in e.items()}
+        alphas = {p: perturb_radial(_canonical_roots(rows), p, rng) for p, rows in e.items()}
         e = {}
     l1 = 10.0 ** rng.uniform(-1.0, 1.0, size=m)
     fam = Family.__new__(Family)
@@ -393,6 +394,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_header(n, label: str = "") -> None:
+    """The checks of N and label that Family, synth_family and the loader share."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise FamilyValidationError(f"N must be a JSON integer >= 2, got {n!r}")
+    if not isinstance(label, str):
+        raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
+
+
 def _decimal(text: str) -> int:
     """The integer spelled by a key in canonical decimal form (no sign, space or leading 0)."""
     if not re.fullmatch(r"0|[1-9][0-9]*", text):
@@ -427,14 +436,9 @@ def family_from_dict(data: dict) -> Family:
         raw_members = data["members"]
     except KeyError as exc:
         raise FamilyValidationError(f"missing required field {exc}") from exc
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise FamilyValidationError(f"N must be a JSON integer, got {n!r}")
-    if n < 2 or not isinstance(raw_members, list):
-        raise FamilyValidationError("need N >= 2 and a JSON array of members")
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
-    return _Columns(n).build(Family.__new__(Family), label, raw_members, _Columns.parse)
+    if not isinstance(raw_members, list):
+        raise FamilyValidationError("members must be a JSON array")
+    return _Columns(n).build(Family.__new__(Family), data.get("label", ""), raw_members, _Columns.parse)
 
 
 class _Columns:
@@ -454,6 +458,7 @@ class _Columns:
         one canonicalize_batch per prime, one Schur evaluation per prime and tuple
         of coefficient keys.  The lowest-numbered faulty member raises
         FamilyValidationError("member j: ..."), at its first fault in field order."""
+        _check_header(self.n, label)
         # a fault is (member, where in that member, error); a structural fault
         # sits after the member's Satake rows appended before it
         fault = None

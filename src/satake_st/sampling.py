@@ -140,18 +140,16 @@ def sample_st(n: int, rng: np.random.Generator) -> SatakeParameter:
 
 
 def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Multiply unit-torus rows by radial noise staying inside |alpha| <= p^{1/2}.
-
-    Per-row log-radii are zero-sum, so products stay at 1; the largest
-    |log_p radius| is capped strictly below 1/2.
-    """
+    """Canonical rows of unit-torus rows times radial noise staying inside |alpha| <= p^{1/2}; row i
+    stays row i.  Per-row log-radii are zero-sum, so products stay at 1; the largest |log_p radius|
+    is capped strictly below 1/2."""
     m, n = bank.shape
     shifts = rng.uniform(-1.0, 1.0, size=(m, n))
     shifts -= shifts.mean(axis=1, keepdims=True)
     peak = np.abs(shifts).max(axis=1, keepdims=True)
     scale = rng.uniform(0.0, 1.0, size=(m, 1))
     shifts *= scale * 0.5 / np.maximum(peak, 1e-12)
-    return bank * float(p) ** shifts
+    return canonicalize_batch(bank * float(p) ** shifts)
 
 
 def varrho_bank(n: int, m: int, seed: int) -> np.ndarray:
@@ -202,7 +200,7 @@ def mc_integrate(f, n: int, m: int, seed: int, workers: int = 1) -> McEstimate:
 
 
 def char_monomial(spec: TensorSpec):
-    """Vectorized prod_k chi_k^{i_k} * conj(chi_k)^{i'_k} on eigenvalue rows (width N) or e-rows (N-1)."""
+    """prod_k chi_k^{i_k} * conj(chi_k)^{i'_k} on one row or a batch, of eigenvalue rows (width N) or e-rows (N-1)."""
 
     def integrand(rows):
         width = np.shape(rows)[-1]

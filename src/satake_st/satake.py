@@ -134,7 +134,7 @@ def varrho(x: SatakeParameter) -> tuple[complex, ...]:
     Elementary symmetric polynomials of the eigenvalues; injective on the
     containment region modulo the Weyl action.
     """
-    return elementary_symmetric(x.as_array())
+    return tuple(elementary_symmetric(x.as_array()).tolist())
 
 
 def hecke_check_n3(x: SatakeParameter) -> float:

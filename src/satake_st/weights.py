@@ -16,16 +16,13 @@ import numpy as np
 
 __all__ = [
     "DominantWeight",
-    "WeightVector",
     "CoefficientIndex",
     "SpectralParameter",
     "aleph",
     "aleph_inv",
-    "b_entry",
     "langlands",
     "laplace_eigenvalue",
     "laplace_eigenvalues",
-    "is_dominant",
 ]
 
 
@@ -71,24 +68,6 @@ class DominantWeight:
 
     def size(self) -> int:
         return sum(self.parts)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """General integral weight, canonicalized so min(coords) == 0."""
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_rank(self.n)
-        coords = tuple(int(c) for c in self.coords)
-        if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coords, got {len(coords)}")
-        m = min(coords)
-        if m != 0:
-            coords = tuple(c - m for c in coords)
-        object.__setattr__(self, "coords", coords)
 
 
 @dataclass(frozen=True)
@@ -151,16 +130,6 @@ def aleph_inv(mu: DominantWeight) -> CoefficientIndex:
     return CoefficientIndex(n, l)
 
 
-def b_entry(i: int, j: int, n: int) -> int:
-    """b_ij = ij when i+j <= N, else (N-i)(N-j)."""
-    _check_rank(n)
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise ValueError(f"indices must be in 1..{n - 1}, got ({i}, {j})")
-    if i + j <= n:
-        return i * j
-    return (n - i) * (n - j)
-
-
 def _ell(n: int, nu_rows) -> np.ndarray:
     """ell for each row of an (m, N-1) array of nu, by two cumulative sums; a row's value is independent of m."""
     nu = np.asarray(nu_rows, dtype=np.complex128).reshape(-1, n - 1)
@@ -186,8 +155,3 @@ def laplace_eigenvalues(n: int, nu_rows) -> np.ndarray:
 def laplace_eigenvalue(nu: SpectralParameter) -> complex:
     """Laplace eigenvalue of one spectral parameter; see laplace_eigenvalues."""
     return complex(laplace_eigenvalues(nu.n, [nu.nu])[0])
-
-
-def is_dominant(w: WeightVector) -> bool:
-    """True iff the canonical coordinates are non-increasing."""
-    return all(a >= b for a, b in zip(w.coords, w.coords[1:]))

@@ -25,8 +25,8 @@ None of these is used by the library itself:
   rejection against the Weyl density;
 - ``family_from_dict_per_member`` loads a family document one member at a
   time, canonicalising and coherence-checking each member before the next;
-- ``b_matrix`` and ``langlands_matrix`` tabulate the integer matrix L with
-  ell = L @ nu from the b_entry values, column by column.
+- ``b_entry``, ``b_matrix`` and ``langlands_matrix`` tabulate the integer
+  matrix L with ell = L @ nu from the b_ij values, column by column.
 """
 
 import itertools
@@ -316,10 +316,10 @@ def family_from_dict_per_member(data: dict) -> Family:
         raw_members = data["members"]
     except KeyError as exc:
         raise FamilyValidationError(f"missing required field {exc}") from exc
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise FamilyValidationError(f"N must be a JSON integer, got {n!r}")
-    if n < 2 or not isinstance(raw_members, list):
-        raise FamilyValidationError("need N >= 2 and a JSON array of members")
+    if not isinstance(raw_members, list):
+        raise FamilyValidationError("members must be a JSON array")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise FamilyValidationError(f"N must be a JSON integer >= 2, got {n!r}")
     label = data.get("label", "")
     if not isinstance(label, str):
         raise FamilyValidationError(f"label must be a JSON string, got {label!r}")
@@ -387,6 +387,16 @@ def _check_member_coherence(member: FamilyMember) -> None:
                     f"coefficient {idx.l} incoherent with the "
                     f"parameter at p={p} (residual {residual:.3g})"
                 )
+
+
+def b_entry(i: int, j: int, n: int) -> int:
+    """b_ij = ij when i+j <= N, else (N-i)(N-j)."""
+    _check_rank(n)
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        raise ValueError(f"indices must be in 1..{n - 1}, got ({i}, {j})")
+    if i + j <= n:
+        return i * j
+    return (n - i) * (n - j)
 
 
 def b_matrix(n: int) -> np.ndarray:

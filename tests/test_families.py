@@ -314,6 +314,56 @@ class TestSynthFamily:
             synth_family(3, 10, mode="bogus")
 
 
+def saved_and_loaded(fam, directory: pathlib.Path):
+    path = directory / "family.json"
+    save_family(fam, path)
+    return load_family(path)
+
+
+# builder, and whether it must raise: every other builder saves a file that loads back
+BUILDERS = {
+    "label-none": (lambda: Family(3, (coherent_member(),), label=None), True),
+    "label-int": (lambda: Family(3, (coherent_member(),), label=7), True),
+    "rank-bool": (lambda: Family(True, ()), True),
+    "rank-float": (lambda: Family(3.0, (coherent_member(),)), True),
+    "rank-numpy": (lambda: Family(np.int64(3), (coherent_member(),)), True),
+    "rank-1": (lambda: Family(1, ()), True),
+    "synth-composite": (lambda: synth_family(3, 5, primes=(4,)), True),
+    "synth-one": (lambda: synth_family(3, 5, primes=(1,)), True),
+    "synth-bool": (lambda: synth_family(3, 5, primes=(True,)), True),
+    "synth-float-prime": (lambda: synth_family(3, 5, primes=(2.0,)), True),
+    "synth-rank-numpy": (lambda: synth_family(np.int64(3), 5), True),
+    "synth-numpy-prime": (lambda: synth_family(3, 5, primes=(np.int64(3),)), True),
+    "synth-no-primes": (lambda: synth_family(3, 5, primes=()), False),
+    "labelled": (lambda: Family(3, (coherent_member(),), label="kept"), False),
+}
+
+
+class TestEveryBuilderSavesALoadableFamily:
+    @pytest.mark.parametrize("build, raises", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_raises_or_round_trips(self, build, raises, tmp_path):
+        if raises:
+            with pytest.raises(FamilyValidationError):
+                build()
+        else:
+            fam = build()
+            assert same_bits(saved_and_loaded(fam, tmp_path), fam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        mode=st.sampled_from(["sato-tate", "t1-perturbed"]),
+        primes=st.lists(st.integers(-2, 30) | st.booleans(), max_size=3),
+    )
+    def test_synthetic_family_raises_or_round_trips(self, tmp_path_factory, n, mode, primes):
+        if all(type(p) is int and _is_prime(p) for p in primes):
+            fam = synth_family(n, 4, mode=mode, primes=tuple(primes), seed=1)
+            assert same_bits(saved_and_loaded(fam, tmp_path_factory.mktemp("synth")), fam)
+        else:
+            with pytest.raises(FamilyValidationError, match="prime"):
+                synth_family(n, 4, mode=mode, primes=tuple(primes), seed=1)
+
+
 class TestEquidistReport:
     def test_zero_spec_has_zero_difference(self):
         fam = synth_family(3, 100, seed=12)

@@ -1,6 +1,7 @@
 """Haar class-measure sampler, Monte Carlo estimates, and GL(2) densities."""
 
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from satake_st.characters import TensorSpec, trivial_multiplicity
+from satake_st.characters import TensorSpec, eval_char, trivial_multiplicity
 from satake_st import sampling
 from satake_st.families import synth_family
 from satake_st.satake import elementary_symmetric
+from satake_st.weights import CoefficientIndex, aleph
 from satake_st.sampling import (
     McEstimate,
     RngSeed,
@@ -220,6 +222,27 @@ class TestVarrhoDraw:
         for exps in [(1,) + (0,) * (2 * n - 3), (2, 1) + (0,) * (2 * n - 4), (1,) * (2 * n - 2)]:
             f = char_monomial(TensorSpec(n, exps))
             assert np.max(np.abs(f(bank) - f(e))) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_lone_row_has_the_bits_of_a_batch_of_one(self, n):
+        rng = np.random.default_rng(17)
+        bank = sample_bank(n, 12, seed=17) * np.exp(rng.normal(scale=0.3, size=(12, n)))  # off the torus too
+        e = elementary_symmetric(bank)
+        mus = [aleph(CoefficientIndex(n, l)) for l in itertools.product(range(3), repeat=n - 1)]
+        specs = TensorSpec.up_to_degree(n, 3)
+        for g in range(len(bank)):
+            for row in (bank[g], e[g]):
+                for spec in specs:
+                    f = char_monomial(spec)
+                    lone = f(row)
+                    assert lone.shape == () and lone.tobytes() == f(row[None])[0].tobytes(), (spec, row)
+            assert elementary_symmetric(bank[g]).tobytes() == elementary_symmetric(bank[g : g + 1])[0].tobytes()
+            for mu in mus:
+                assert np.asarray(eval_char(mu, bank[g])).tobytes() == eval_char(mu, bank[g : g + 1])[0].tobytes()
+
+    def test_char_monomial_takes_a_lone_eigenvalue_row(self):
+        got = char_monomial(TensorSpec(3, (1, 1, 0, 1)))(np.array([1j, -1j, 1]))
+        assert got.shape == () and got == 1  # |e_1|^2 conj(e_2), with e_1 = e_2 = 1 at (i, -i, 1)
 
     @pytest.mark.parametrize("width", [1, 4, 5])
     def test_char_monomial_rejects_other_widths(self, width):

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satake_st.characters import weight_table
 from satake_st.weights import (
     CoefficientIndex,
     DominantWeight,
     SpectralParameter,
-    WeightVector,
     aleph,
     aleph_inv,
-    b_entry,
-    is_dominant,
     langlands,
     laplace_eigenvalue,
     laplace_eigenvalues,
 )
 
-from oracles import b_matrix
+from oracles import b_entry, b_matrix
 
 
 def idx_strategy(max_n=5, max_entry=6):
@@ -159,13 +157,11 @@ class TestLaplaceRows:
 
 
 class TestDominance:
-    def test_examples(self):
-        assert is_dominant(WeightVector(3, (1, 0, 0)))
-        assert not is_dominant(WeightVector(3, (0, 1, 0)))
-        assert is_dominant(WeightVector(3, (2, 1, 0)))
-
     def test_shifted_coords_compare_equal(self):
-        assert WeightVector(3, (4, 3, 2)) == WeightVector(3, (2, 1, 0))
+        # a general weight is a tuple read modulo the all-ones vector
+        table = weight_table(DominantWeight(3, (2, 1, 0)))
+        assert table.multiplicity((4, 3, 2)) == table.multiplicity((2, 1, 0)) == 1
+        assert table.multiplicity((3, 3, 3)) == table.multiplicity((0, 0, 0)) == 2
 
     @pytest.mark.parametrize(
         "n, parts, message",
