@@ -4,11 +4,12 @@ Weight multiplicities come from the branching rule in integer arithmetic
 (Macdonald I.5.11: peel off one variable over every horizontal strip);
 tensor products of fundamental modules are decomposed by the iterated
 Pieri rule on partitions, with no weight tables (one strip table per
-factor size, filtered by each partition's tie mask), and the bound sweep's
-dominant sums are those Pieri multiplicities times branching-rule table
-entries; numeric character values use the Jacobi-Trudi determinant with
-complete homogeneous symmetric functions h_r, taken from the e-row by the
-h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
+factor size and call, from row bit masks, filtered by each partition's tie
+mask; unchecked result keys), and the bound sweep's dominant sums are those
+Pieri multiplicities times branching-rule table entries; numeric character
+values use the Jacobi-Trudi determinant with complete homogeneous symmetric
+functions h_r, taken from the e-row by the h-e duality (finite at coincident
+eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, eq, ge, gt
+from operator import add, eq, ge, neg
 
 import numpy as np
 
@@ -116,8 +117,9 @@ class TensorSpec:
     def monomial(self, e: np.ndarray) -> np.ndarray:
         """prod_k e_k^{i_k} conj(e_k)^{i'_k} on rows (..., N-1) of e, an array of shape (...); unused columns are
         not read. A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
-        squaring; the product starts from the first factor, not from a multiplication by 1. A lone row is a
-        batch of one, with its bits: numpy's scalar complex product rounds unlike its array loop."""
+        squaring; the product starts from the first factor, not from a multiplication by 1. Unlike ``_schur``, it
+        is not batch-independent: numpy's complex multiply rounds differently on short and long arrays, so a row
+        taken out of its bank need not keep its bits; an estimate is a function of (spec, N, m, seed)."""
         rows = e.reshape(-1, e.shape[-1])  # a view of a 2-D e
         factors = self._factors(rows)
         out = next(factors, None)
@@ -255,14 +257,15 @@ def tensor_decompose(
     Iterated Pieri rule (Macdonald I.5.17): every factor is an exterior
     power e_k, and s_lam * e_k is the sum of s_nu over the nu obtained by
     adding a vertical k-strip to lam within N rows.  Each size k gets one
-    strip table per call, in combinations order, of (skipped, shift): the
-    bit mask of the empty rows i above a filled row i+1, and the strip less
-    one full column (the determinant, trivial on SU(N)) when it fills the
-    last row, so each nu ends in 0.  A strip fits lam iff skipped misses
-    lam's tie mask (bit i set iff lam_i == lam_{i+1}).  The budget bounds
-    the candidate strips summed over all steps, sum of len(current) *
-    C(N, k), masked ones included; every step tries at least one, so a
-    degree above the budget fails before the factors are listed.
+    strip table per call (``_strip_table``), in combinations order, of
+    (skipped, shift): the bit mask of the empty rows i above a filled row
+    i+1, and the strip less one full column (the determinant, trivial on
+    SU(N)) when it fills the last row, so each nu ends in 0.  A strip fits
+    lam iff skipped misses lam's tie mask (bit i set iff lam_i == lam_{i+1}).
+    The budget bounds the candidate strips summed over all steps, sum of
+    len(current) * C(N, k), masked ones included; every step tries at least
+    one, so a degree above the budget fails before the factors are listed.
+    Each nu is a partition of Python ints ending in 0, so its key is unchecked.
     """
     n = spec.n
     if spec.degree > budget:
@@ -280,11 +283,7 @@ def tensor_decompose(
                 )
             table = tables.get(k)
             if table is None:
-                table = tables[k] = []
-                for rows in itertools.combinations(range(n), k):
-                    strip = [int(i in rows) for i in range(n)]
-                    skipped = sum(itertools.compress(bits, map(gt, strip[1:], strip)))
-                    table.append((skipped, tuple(x - strip[-1] for x in strip)))
+                table = tables[k] = _strip_table(n, k)
             out: dict[tuple[int, ...], int] = {}
             for lam, c in current.items():
                 ties = sum(itertools.compress(bits, map(eq, lam, lam[1:])))
@@ -293,7 +292,20 @@ def tensor_decompose(
                         nu = tuple(map(add, lam, shift))
                         out[nu] = out.get(nu, 0) + c
             current = out
-    return {DominantWeight(n, lam): c for lam, c in current.items()}
+    return {DominantWeight._unchecked(n, lam): c for lam, c in current.items()}
+
+
+def _strip_table(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(skipped, shift) of every vertical k-strip in n rows, in combinations order.  A strip on rows R has
+    row mask m = sum 2^i and 0/1 rows the bytes of s = sum 256^i over R; skipped = (m >> 1) & ~m, and a strip
+    that fills the last row loses one full column: its shift is minus the bytes of its complement."""
+    ones = (1 << 8 * n) // 255  # a 1 byte in every row
+    masks = map(sum, itertools.combinations([1 << i for i in range(n)], k))
+    spreads = map(sum, itertools.combinations([1 << 8 * i for i in range(n)], k))  # in the order of masks
+    return [
+        ((m >> 1) & ~m, tuple(map(neg, (ones - s).to_bytes(n, "little")) if m >> (n - 1) else s.to_bytes(n, "little")))
+        for m, s in zip(masks, spreads)
+    ]
 
 
 def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> int:

@@ -282,8 +282,8 @@ def synth_family(
     radial noise capped so each |alpha_i| stays within p^{1/2}.  Spectral
     parameters are purely imaginary on an integer grid, scaled by a factor
     that is 1 up to N=3; adjoint L-values are log-uniform in [0.1, 10].
-    Each prime draws its e-rows from one stream, so the canonical roots are
-    those of ``sample_st_batch`` on the same generator.
+    Each prime, listed once, draws its e-rows from one stream, so the canonical
+    roots are those of ``sample_st_batch`` on the same generator.
     """
     if m < 1:
         raise ValueError("family size must be >= 1")
@@ -292,6 +292,9 @@ def synth_family(
     _check_header(n)
     if not all(type(p) is int and _is_prime(p) for p in primes):  # so that the saved keys load
         raise FamilyValidationError(f"primes must be prime Python integers, got {primes!r}")
+    if len(set(primes)) < len(primes):  # each listed prime draws a bank: a repeat would draw one and discard it
+        repeated = next(p for p in primes if primes.count(p) > 1)
+        raise FamilyValidationError(f"primes must be distinct: {repeated} is repeated in {primes!r}")
     rng = RngSeed(seed).generator()
 
     grid_side = max(2, math.ceil(m ** (1.0 / (n - 1))))

@@ -181,6 +181,7 @@ def mc_integrate(f, n: int, m: int, seed: int, workers: int = 1) -> McEstimate:
     of rows (e_1, ..., e_{n-1}), the varrho coordinates of the draws, not to eigenvalues
     (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``.
     m >= 2; ``workers`` (>= 1) is accepted for compatibility and changes nothing.
+    The estimate's bits are a function of (f, n, m, seed); a row's monomial out of its bank need not keep its bits.
     """
     if m < 2:
         raise ValueError("need at least 2 samples")

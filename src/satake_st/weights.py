@@ -52,6 +52,14 @@ class DominantWeight:
             raise ValueError(f"parts must be non-negative: {parts}")
 
     @classmethod
+    def _unchecked(cls, n: int, parts: tuple[int, ...]) -> "DominantWeight":
+        """The weight of a tuple of n Python ints known to be non-increasing and to end in 0, unchecked."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["n"], fields["parts"] = n, parts
+        return self
+
+    @classmethod
     def zero(cls, n: int) -> "DominantWeight":
         return cls(n, (0,) * n)
 

@@ -10,6 +10,9 @@ None of these is used by the library itself:
 - ``strip_by_strip_pieri`` decomposes a tensor product by the iterated
   Pieri rule, building every candidate strip as a tuple and testing the sum
   for dominance (the library's loop before its strip tables and tie masks);
+- ``strip_table_by_combinations`` builds the library's table of vertical
+  strips from one 0/1 list per combination of rows (its form before row
+  bit masks);
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
   alternants (distinct eigenvalues only);
 - ``monomial_by_complex_power`` evaluates a spec's character monomial as
@@ -31,6 +34,7 @@ None of these is used by the library itself:
 
 import itertools
 import math
+from operator import gt
 
 import numpy as np
 
@@ -212,6 +216,19 @@ def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
                     out[nu] = out.get(nu, 0) + c
         current = out
     return {DominantWeight(n, lam): c for lam, c in current.items()}
+
+
+def strip_table_by_combinations(n: int, k: int) -> list:
+    """``tensor_decompose``'s (skipped, shift) table of vertical k-strips in n rows, built as it
+    was before bit masks: a 0/1 list per combination of rows, its skipped mask summed from the
+    rows i where strip[i] < strip[i+1], and the strip less its last entry in every row."""
+    bits = [1 << i for i in range(n - 1)]
+    table = []
+    for rows in itertools.combinations(range(n), k):
+        strip = [int(i in rows) for i in range(n)]
+        skipped = sum(itertools.compress(bits, map(gt, strip[1:], strip)))
+        table.append((skipped, tuple(x - strip[-1] for x in strip)))
+    return table
 
 
 def eval_char_bialternant(mu: DominantWeight, alphas):

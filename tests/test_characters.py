@@ -18,6 +18,7 @@ from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
     _schur,
+    _strip_table,
     dim,
     dominant_part_sum,
     eval_char,
@@ -35,6 +36,7 @@ from oracles import (
     freudenthal_weight_table,
     monomial_by_complex_power,
     strip_by_strip_pieri,
+    strip_table_by_combinations,
 )
 
 
@@ -226,11 +228,20 @@ class TestTensorDecompose:
                 )
                 assert charge % n == 0, spec
 
+    def test_result_keys_are_checked_weights(self):
+        for n, d in [(3, 7), (4, 5), (5, 4)]:
+            for spec in TensorSpec.up_to_degree(n, d):
+                for mu in tensor_decompose(spec):
+                    checked = DominantWeight(mu.n, mu.parts)
+                    assert type(mu) is DominantWeight and type(mu.parts) is tuple
+                    assert mu == checked and hash(mu) == hash(checked) and repr(mu) == repr(checked)
+                    assert all(type(x) is int for x in mu.parts), mu
+
 
 @st.composite
-def pieri_specs(draw, max_n=8, max_degree=8):
-    """A spec of rank 2..max_n with at most max_degree factors, as a multiset of slots."""
-    n = draw(st.integers(2, max_n))
+def pieri_specs(draw, min_n=2, max_n=8, max_degree=8):
+    """A spec of rank min_n..max_n with at most max_degree factors, as a multiset of slots."""
+    n = draw(st.integers(min_n, max_n))
     exps = [0] * (2 * (n - 1))
     for slot in draw(st.lists(st.integers(0, 2 * n - 3), max_size=max_degree)):
         exps[slot] += 1
@@ -266,6 +277,16 @@ class TestStripTables:
     @settings(max_examples=150, deadline=None)
     @given(pieri_specs(), st.data())
     def test_matches_strip_by_strip_pieri(self, spec, data):
+        self.assert_matches_strip_by_strip_pieri(spec, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pieri_specs(min_n=9, max_n=12, max_degree=2), st.data())
+    def test_matches_strip_by_strip_pieri_at_ranks_9_to_12(self, spec, data):
+        self.assert_matches_strip_by_strip_pieri(spec, data)
+
+    @staticmethod
+    def assert_matches_strip_by_strip_pieri(spec, data):
+        """Equal dicts in equal order, and equal budget verdicts at, below and around the reference's total."""
         want = strip_by_strip_pieri(spec)
         got = tensor_decompose(spec)
         assert got == want
@@ -288,6 +309,11 @@ class TestStripTables:
         want = "Pieri steps with 1148 candidate strips in total exceed budget 1000"
         for decompose in (strip_by_strip_pieri, tensor_decompose):
             assert budget_verdict(decompose, TensorSpec(4, (4,) * 6), 1000) == want
+
+    def test_bit_mask_tables_match_the_combinations_builder(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                assert _strip_table(n, k) == strip_table_by_combinations(n, k), (n, k)
 
 
 def rows_off_the_torus(n: int, count: int, rng) -> np.ndarray:

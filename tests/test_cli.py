@@ -26,6 +26,28 @@ def read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["decompose", "--n", "3", "--spec", "1,1,0,0"], "cli-decompose-n3.csv"),
+        (["decompose", "--n", "6", "--spec", "4,4,0,0,0,0,0,0,0,0"], "cli-decompose-n6.csv"),
+        (
+            ["bound", "--verify", "--p", "2,3,5", "--alpha", "0.109375,0.5,1.6666666667", "--max-degree", "4"],
+            "cli-bound-verify.csv",
+        ),
+    ],
+)
+def test_exact_layer_stdout_is_pinned(runner, argv, name):
+    """The README's exact-layer lines print the bytes in tests/data (CI compares the module's stdout too)."""
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == 0
+    with open(os.path.join(DATA, name), "rb") as fh:
+        assert result.stdout_bytes == fh.read()
+
+
 class TestDecompose:
     def test_defining_times_conjugate(self, runner):
         result = runner.invoke(cli, ["decompose", "--n", "3", "--spec", "1,1,0,0"])

@@ -356,12 +356,20 @@ class TestEveryBuilderSavesALoadableFamily:
         primes=st.lists(st.integers(-2, 30) | st.booleans(), max_size=3),
     )
     def test_synthetic_family_raises_or_round_trips(self, tmp_path_factory, n, mode, primes):
-        if all(type(p) is int and _is_prime(p) for p in primes):
+        if all(type(p) is int and _is_prime(p) for p in primes) and len(set(primes)) == len(primes):
             fam = synth_family(n, 4, mode=mode, primes=tuple(primes), seed=1)
             assert same_bits(saved_and_loaded(fam, tmp_path_factory.mktemp("synth")), fam)
         else:
             with pytest.raises(FamilyValidationError, match="prime"):
                 synth_family(n, 4, mode=mode, primes=tuple(primes), seed=1)
+
+    def test_a_repeated_prime_is_named_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a bank")
+
+        monkeypatch.setattr(families, "_haar_su_varrho", no_draw)
+        with pytest.raises(FamilyValidationError, match="primes must be distinct: 3 is repeated"):
+            synth_family(3, 5, primes=(3, 2, 3), seed=1)
 
 
 class TestEquidistReport:
