@@ -44,10 +44,7 @@ class Gl3BoundParams:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:
             raise ValueError(f"theta must lie in [0, 7/64], got {self.theta}")
-        exps = tuple(int(e) for e in self.exponents)
-        if len(exps) != 4 or any(e < 0 for e in exps):
-            raise ValueError(f"need 4 non-negative exponents, got {self.exponents}")
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents", TensorSpec(3, self.exponents).exponents)
 
     def spec(self) -> TensorSpec:
         return TensorSpec(3, self.exponents)

@@ -22,7 +22,7 @@ from operator import add, eq, ge, neg
 
 import numpy as np
 
-from .weights import DominantWeight
+from .weights import DominantWeight, _check_rank, _store
 
 __all__ = [
     "CharacterTable",
@@ -80,12 +80,7 @@ class TensorSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if len(exps) != 2 * (self.n - 1):
-            raise ValueError(
-                f"expected {2 * (self.n - 1)} exponents for N={self.n}, got {len(exps)}"
-            )
+        exps = _store(self, "exponents", int, 2 * (_check_rank(self.n) - 1), f"exponents for N={self.n}")
         if any(e < 0 for e in exps):
             raise ValueError(f"exponents must be non-negative: {exps}")
 

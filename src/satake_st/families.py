@@ -290,6 +290,7 @@ def synth_family(
     if mode not in ("sato-tate", "t1-perturbed"):
         raise ValueError(f"unknown synthesis mode {mode!r}")
     _check_header(n)
+    primes = tuple(primes)  # read once: an iterator would be spent by the first check
     if not all(type(p) is int and _is_prime(p) for p in primes):  # so that the saved keys load
         raise FamilyValidationError(f"primes must be prime Python integers, got {primes!r}")
     if len(set(primes)) < len(primes):  # each listed prime draws a bank: a repeat would draw one and discard it
@@ -343,6 +344,7 @@ def equidist_report(
 
     if len(family) == 0:
         raise FamilyValidationError("empty family")
+    t_grid = tuple(t_grid)  # read twice, here and per spec below
     weight_columns = [h.evaluate(family.lam, float(t)) / family.l1 for t in t_grid]  # per member, one per scale
     e = family.e.get(p, family._a_rows)  # the stored A[k] where no member has a parameter at p
     rows = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import elementary_symmetric, eval_char
-from .weights import CoefficientIndex, DominantWeight, aleph
+from .weights import CoefficientIndex, DominantWeight, _check_rank, _store, aleph
 
 __all__ = [
     "SatakeParameter",
@@ -33,18 +33,14 @@ PARAMETER_TOL = 1e-12  # of a SatakeParameter
 
 @dataclass(frozen=True)
 class SatakeParameter:
-    """Canonically ordered eigenvalue tuple with product 1."""
+    """N >= 2 eigenvalues with product 1 within 1e-12, kept in the order given; the
+    canonical order, a Weyl-coset representative, is the one canonicalize() gives."""
 
     n: int
     alphas: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"rank must be >= 2, got {self.n}")
-        alphas = tuple(map(complex, self.alphas))
-        object.__setattr__(self, "alphas", alphas)
-        if len(alphas) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(alphas)}")
+        alphas = _store(self, "alphas", complex, _check_rank(self.n))
         prod = math.prod(alphas[1:], start=alphas[0])  # as np.prod: no factor 1 + 0j
         # hypot is abs, but inf where abs would overflow; negated, so that NaN fails
         if not math.hypot(prod.real - 1.0, prod.imag) <= PARAMETER_TOL:

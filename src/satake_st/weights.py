@@ -26,9 +26,27 @@ __all__ = [
 ]
 
 
-def _check_rank(n: int) -> None:
+def _check_rank(n: int) -> int:
+    """The rank n, once checked to be a Python int >= 2."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"rank parameter must be an integer >= 2, got {n!r}")
+    return n
+
+
+def _store(obj, name: str, kind: type, length: int, noun: str = "entries") -> tuple:
+    """Set a frozen dataclass's field `name` to a tuple of `length` Python ints or complexes; an int
+    field takes only entries equal to their int, so 0.5, inf, NaN, '1' and None raise, not truncate."""
+    raw = tuple(getattr(obj, name))
+    try:
+        values = tuple(map(kind, raw))
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or (kind is int and values != raw):
+        raise ValueError(f"{type(obj).__name__}.{name} must be {'integers' if kind is int else 'complex numbers'}, got {raw}")
+    if len(values) != length:
+        raise ValueError(f"expected {length} {noun}, got {len(values)}")
+    object.__setattr__(obj, name, values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -39,17 +57,11 @@ class DominantWeight:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        _check_rank(self.n)
-        parts = tuple(map(int, self.parts))
-        object.__setattr__(self, "parts", parts)
-        if len(parts) != self.n:
-            raise ValueError(f"expected {self.n} parts, got {len(parts)}")
+        parts = _store(self, "parts", int, _check_rank(self.n), "parts")
         if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts must be non-increasing: {parts}")
         if parts[-1] != 0:
             raise ValueError(f"normalized parts must end in 0: {parts}")
-        if parts[0] < 0:
-            raise ValueError(f"parts must be non-negative: {parts}")
 
     @classmethod
     def _unchecked(cls, n: int, parts: tuple[int, ...]) -> "DominantWeight":
@@ -86,11 +98,7 @@ class CoefficientIndex:
     l: tuple[int, ...]
 
     def __post_init__(self):
-        _check_rank(self.n)
-        l = tuple(int(v) for v in self.l)
-        object.__setattr__(self, "l", l)
-        if len(l) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} entries, got {len(l)}")
+        l = _store(self, "l", int, _check_rank(self.n) - 1)
         if any(v < 0 for v in l):
             raise ValueError(f"entries must be non-negative: {l}")
 
@@ -116,11 +124,7 @@ class SpectralParameter:
     nu: tuple[complex, ...]
 
     def __post_init__(self):
-        _check_rank(self.n)
-        nu = tuple(map(complex, self.nu))
-        object.__setattr__(self, "nu", nu)
-        if len(nu) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} entries, got {len(nu)}")
+        _store(self, "nu", complex, _check_rank(self.n) - 1)
 
 
 def aleph(idx: CoefficientIndex) -> DominantWeight:

@@ -392,6 +392,17 @@ class TestFailureContract:
         assert "message" in json.loads(result.stderr)["error"]
 
     @pytest.mark.parametrize(
+        "args",
+        [["decompose", "--n", "1", "--spec", "0"], ["moment", "--n", "1", "--spec", "0", "--m", "10"]],
+        ids=["decompose", "moment"],
+    )
+    def test_rank_1_spec_names_the_rank(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)["error"]
+        assert err == {"type": "ValueError", "message": "rank parameter must be an integer >= 2, got 1"}
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"N": 3, "members": [{"nu": [[True, False], [0, 1]], "L1Ad": 1.0}]},

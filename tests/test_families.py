@@ -313,6 +313,12 @@ class TestSynthFamily:
         with pytest.raises(ValueError):
             synth_family(3, 10, mode="bogus")
 
+    @pytest.mark.parametrize("mode", ["sato-tate", "t1-perturbed"])
+    def test_primes_may_be_any_iterable(self, mode):
+        # the primes are read once, so an iterator gives the family its tuple gives
+        fam = synth_family(3, 5, mode=mode, primes=iter((2, 3)), seed=1)
+        assert fam.members == synth_family(3, 5, mode=mode, primes=(2, 3), seed=1).members
+
 
 def saved_and_loaded(fam, directory: pathlib.Path):
     path = directory / "family.json"
@@ -397,6 +403,12 @@ class TestEquidistReport:
             rows = equidist_report(fam, 2, [spec], h, [100.0])
             diffs.append(rows[0].difference)
         assert diffs[1] < diffs[0]
+
+    def test_scale_grid_may_be_any_iterable(self):
+        # the scales are read once, so a generator gives the rows its list gives
+        fam, h, spec = synth_family(3, 50, seed=13), TestFunctionH.gaussian(), TensorSpec(3, (1, 1, 0, 0))
+        rows = equidist_report(fam, 2, [spec], h, (t for t in [10.0, 30.0]))
+        assert len(rows) == 2 and rows == equidist_report(fam, 2, [spec], h, [10.0, 30.0])
 
 
 class TestSerialization:

@@ -1,11 +1,15 @@
 """Weight lattice, index bijection, and spectral-parameter formulas."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satake_st.characters import weight_table
+from satake_st.bounds import Gl3BoundParams
+from satake_st.characters import TensorSpec, tensor_decompose, weight_table
+from satake_st.satake import SatakeParameter
 from satake_st.weights import (
     CoefficientIndex,
     DominantWeight,
@@ -187,3 +191,55 @@ class TestDominance:
             DominantWeight(3, (2, 1, 1))
         with pytest.raises(ValueError):
             DominantWeight(3, (1, 2, 0))
+
+
+
+# One builder per value type with a tuple field: (build from the field, a valid field, the field, its kind).
+# Gl3BoundParams validates its exponents as TensorSpec(3, ...).
+VALUE_TYPES = {
+    "DominantWeight": (lambda v: DominantWeight(3, v), (2, 1, 0), "parts", int),
+    "CoefficientIndex": (lambda v: CoefficientIndex(3, v), (1, 0), "l", int),
+    "TensorSpec": (lambda v: TensorSpec(3, v), (1, 1, 0, 0), "exponents", int),
+    "Gl3BoundParams": (lambda v: Gl3BoundParams(2, v), (1, 1, 0, 0), "exponents", int),
+    "SpectralParameter": (lambda v: SpectralParameter(3, v), (1j, -2j), "nu", complex),
+    "SatakeParameter": (lambda v: SatakeParameter(3, v), (1j, -1j, 1), "alphas", complex),
+}
+
+
+class TestTupleFields:
+    @pytest.mark.parametrize("bad", [0.5, math.inf, math.nan, "1", None], ids=["half", "inf", "nan", "str", "none"])
+    @pytest.mark.parametrize("name", [name for name, row in VALUE_TYPES.items() if row[3] is int])
+    def test_a_non_integer_entry_raises(self, name, bad):
+        build, valid, field, _ = VALUE_TYPES[name]
+        with pytest.raises(ValueError, match=rf"\.{field} must be integers, got "):
+            build((bad,) + valid[1:])
+
+    def test_a_string_field_is_not_read_as_digits(self):
+        with pytest.raises(ValueError, match=r"^TensorSpec\.exponents must be integers, got \('1', '1', '0', '0'\)$"):
+            TensorSpec(3, "1100")
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_numpy_and_integral_float_entries_give_python_values(self, name):
+        build, valid, field, kind = VALUE_TYPES[name]
+        plain = build(valid)
+        dtypes = (np.int64, np.float64) if kind is int else (np.complex128,)
+        for entries in [np.array(valid, dtype=t) for t in dtypes] + [list(np.array(valid, dtype=dtypes[0]))]:
+            built = build(entries)
+            values = getattr(built, field)
+            assert type(values) is tuple and all(type(v) is kind for v in values)
+            assert built == plain and hash(built) == hash(plain)
+
+    @pytest.mark.parametrize("n", [1, 2.5, True, np.int64(3)], ids=["one", "float", "bool", "numpy-int"])
+    @pytest.mark.parametrize(
+        "cls, field", [(TensorSpec, (1, 1, 0, 0)), (SatakeParameter, (1, 1, 1))], ids=["TensorSpec", "SatakeParameter"]
+    )
+    def test_a_bad_rank_raises(self, cls, field, n):
+        with pytest.raises(ValueError, match=r"^rank parameter must be an integer >= 2, got "):
+            cls(n, field)
+
+    def test_rank_one_and_numpy_rank_specs_no_longer_reach_the_decomposition(self):
+        # both once got past the constructor: the first decomposed into an unchecked
+        # rank-1 weight, the second ended in an AttributeError in the strip tables
+        for n, exponents in [(1, ()), (np.int64(3), (1, 1, 0, 0))]:
+            with pytest.raises(ValueError, match="^rank parameter"):
+                tensor_decompose(TensorSpec(n, exponents))
