@@ -22,7 +22,7 @@ from operator import add, eq, ge, neg
 
 import numpy as np
 
-from .weights import DominantWeight, _check_rank, _store
+from .weights import DominantWeight, _check_rank, _exact, _store
 
 __all__ = [
     "CharacterTable",
@@ -60,6 +60,9 @@ class CharacterTable:
     terms: dict
 
     def multiplicity(self, w: tuple) -> int:
+        """The multiplicity of w, read modulo the all-ones vector; an entry not equal to its int raises."""
+        if _exact(tuple(w), int) is None:
+            raise ValueError(f"weight entries must be integers, got {tuple(w)}")
         return self.terms.get(_canon(w), 0)
 
     def mass(self) -> int:
@@ -88,7 +91,7 @@ class TensorSpec:
     def up_to_degree(cls, n: int, d: int) -> list[TensorSpec]:
         """Every spec of rank n and degree <= d, exponent tuples in lexicographic order;
         more than DEFAULT_TERM_BUDGET of them raise TermBudgetExceeded before any is listed."""
-        k = 2 * (n - 1)
+        k = 2 * (_check_rank(n) - 1)
         count = math.comb(d + k, k) if d >= 0 else 0
         if count > DEFAULT_TERM_BUDGET:
             raise TermBudgetExceeded(f"{count} specs of rank {n} and degree <= {d} exceed budget {DEFAULT_TERM_BUDGET}")

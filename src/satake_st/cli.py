@@ -199,13 +199,13 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
         raise ValueError(f"equidist takes one prime, got {p_text!r}")
     if (family_path is None) == (synth_size == 0):
         raise ValueError("give exactly one of --family or --synth-size")
+    specs = TensorSpec.up_to_degree(n, max_degree)  # checks the rank before a family is read or drawn
     if family_path is not None:
         fam = load_family(family_path)
         if fam.n != n:
             raise ValueError(f"family has N={fam.n}, requested N={n}")
     else:
         fam = synth_family(n, synth_size, mode=synth_mode, primes=(p,), seed=seed)
-    specs = TensorSpec.up_to_degree(n, max_degree)
     h = TestFunctionH.gaussian() if h_kind == "gaussian" else TestFunctionH.indicator()
     rows = [
         {

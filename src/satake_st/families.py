@@ -8,14 +8,15 @@ conjugacy-class integral.
 
 A ``Family`` holds that data as read-only columns with one row per member,
 built once at construction.  ``Family(n, members)`` and the loader validate
-alike, report the first fault as ``member j: ...`` and hold canonical Satake
-parameters; synthesis writes trusted columns directly, and the writer reads
-them.  ``Family.members`` builds ``FamilyMember`` views of the rows.
+alike and hold canonical Satake parameters.  Every check reads one member, so
+they check all members as one batch and, on a fault, check halves again until
+one member is left, whose own fault they report as ``member j: ...``;
+synthesis writes trusted columns directly, and the writer reads them.
+``Family.members`` builds ``FamilyMember`` views of the rows.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import json
 import math
@@ -148,7 +149,7 @@ class Family:
     """
 
     def __init__(self, n: int, members, label: str = ""):
-        _Columns(n).build(self, label, members, _Columns.add)
+        _Columns(n).build(self, label, tuple(members), _Columns.add)
 
     def _fill(self, n, label, nu, l1, keys, coefficients, alphas, e) -> None:
         """keys[j]: member j's (indices, primes), each a tuple or None; coefficients:
@@ -450,41 +451,49 @@ class _Columns:
     """A family's columns as lists, appended one member at a time."""
 
     def __init__(self, n: int):
-        self.n, self.pending = n, 0  # pending: Satake rows of the member being appended
+        self.n = n
         self.members: list[tuple] = []  # (nu, l1, (indices, primes)), each of the last two a tuple or None
         self.coef: dict = {}  # coefficient key -> (index, members, values)
         self.rows: dict = {}  # prime -> (members, eigenvalue rows)
-        self.order: list[tuple] = []  # (member, place among its primes, prime, row), in file order
         self.primes, self.layouts = {}, {}  # Satake key -> prime; (coefficient keys, Satake keys) -> keys
 
     def build(self, family: Family, label: str, items, append) -> Family:
-        """Give family the columns of items, appended in order by append (add or
-        parse) and checked in batches over the members before the earliest fault:
-        one canonicalize_batch per prime, one Schur evaluation per prime and tuple
-        of coefficient keys.  The lowest-numbered faulty member raises
-        FamilyValidationError("member j: ..."), at its first fault in field order."""
+        """Give family the columns of the sequence items, appended in order by append (add
+        or parse) and checked as one batch: one canonicalize_batch per prime, one Schur
+        evaluation per prime and tuple of coefficient keys.  Every check reads one member,
+        so on a fault the lower half of the run that still fails is kept, checked again in
+        fresh columns, until the member left raises its own fault as "member j: ..."."""
         _check_header(self.n, label)
-        # a fault is (member, where in that member, error); a structural fault
-        # sits after the member's Satake rows appended before it
-        fault = None
-        for pos, item in enumerate(items):
+        if self.check(family, label, items, append) is None:
+            return family
+        lo, hi = 0, min(len(self.members) + 1, len(items))  # an append fault ends the run at its member
+
+        def fault(run):  # a fresh batch's fault, or None
+            return _Columns(self.n).check(Family.__new__(Family), label, run, append)
+
+        while hi - lo > 1:  # the first member that fails alone is in items[lo:hi]
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fault(items[lo:mid]) else (mid, hi)
+        exc = fault(items[lo:hi])
+        raise FamilyValidationError(f"member {lo}: {exc}") from exc
+
+    def check(self, family: Family, label: str, items, append) -> ValueError | OverflowError | None:
+        """Append items to family as one checked batch; the fault of a member that fails, or None.
+        Rows appended before a malformed field are checked first, as its member's field order asks."""
+        try:
             try:
-                append(self, item)
-            except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
-                fault = (pos, self.pending, exc)
-                break
-        rows, fault = self.canonicalize(fault)
-        if fault is None or fault[0] > 0:  # the members before the earliest fault, if any
-            self.fill(family, label, rows, fault[0] if fault else None)
-            fault = _coherence_fault(family) or fault
-        if fault:
-            pos, _, exc = fault
-            raise FamilyValidationError(f"member {pos}: {exc}") from exc
-        return family
+                for item in items:
+                    append(self, item)
+            finally:
+                rows = self.canonicalize()
+            self.fill(family, label, rows)
+            _check_coherence(family)
+        except (ValueError, OverflowError) as exc:  # FamilyValidationError; an integer too large for a float
+            return exc
 
     def add(self, mem: FamilyMember) -> None:
         """Append one FamilyMember after the field checks parse makes."""
-        n, pos, self.pending = self.n, len(self.members), 0
+        n, pos = self.n, len(self.members)
         if not (isinstance(mem.nu, SpectralParameter) and mem.nu.n == n and all(map(cmath.isfinite, mem.nu.nu))):
             raise FamilyValidationError(f"nu must be a SpectralParameter of {n - 1} finite entries, got {mem.nu!r}")
         for idx, value in (mem.coefficients or {}).items():
@@ -506,8 +515,8 @@ class _Columns:
 
     def parse(self, raw) -> None:
         """Append one member of the family document; a malformed field raises
-        ValueError (or OverflowError), after the ``pending`` Satake rows before it."""
-        n, pos, self.pending = self.n, len(self.members), 0
+        ValueError (or OverflowError), after the member's Satake rows before it are appended."""
+        n, pos = self.n, len(self.members)
         if not isinstance(raw, dict):
             raise FamilyValidationError(f"expected a JSON object, got {raw!r}")
         if not raw.keys() <= _MEMBER_KEYS.keys():
@@ -560,56 +569,42 @@ class _Columns:
         members, rows = self.rows.get(p) or self.rows.setdefault(p, ([], []))
         members.append(pos)
         rows.append(row)
-        self.order.append((pos, self.pending, p, row))
-        self.pending += 1
 
-    def canonicalize(self, fault):
-        """Each prime's rows before the fault in canonical form, one
-        canonicalize_batch per prime, and the earliest fault, theirs included."""
-        try:
-            return {p: canonicalize_batch(rows) for p, (_, rows) in self.rows.items()}, fault
-        except ValueError:
-            # the failure path: the first row in file order that fails alone is
-            # the fault, and the rows before it all pass
-            for k, (pos, index, p, row) in enumerate(self.order):
-                try:
-                    canonicalize_batch(row)
-                except ValueError as exc:
-                    live = Counter(q for _, _, q, _ in self.order[:k])
-                    fixed = {q: canonicalize_batch(self.rows[q][1][:count]) for q, count in live.items()}
-                    return fixed, (pos, index, FamilyValidationError(f"p={p}: {exc}"))
-            raise
+    def canonicalize(self) -> dict:
+        """Each prime's rows in canonical form, one canonicalize_batch per prime."""
+        rows = {}
+        for p, (_, batch) in self.rows.items():
+            try:
+                rows[p] = canonicalize_batch(batch)
+            except ValueError as exc:
+                raise FamilyValidationError(f"p={p}: {exc}") from exc
+        return rows
 
-    def fill(self, family: Family, label: str, rows: dict, m: int | None) -> None:
-        """Give family the columns of the first m members (all if None), with the canonical rows[p] at p."""
-        n, kept = self.n, self.members[:m]
-        m, alphas, coefficients = len(kept), {}, {}
+    def fill(self, family: Family, label: str, rows: dict) -> None:
+        """Give family the columns of the members, with the canonical rows[p] at p."""
+        n, m, alphas, coefficients = self.n, len(self.members), {}, {}
         for p, (members, _) in self.rows.items():
-            k = bisect.bisect_left(members, m)
-            if k:
-                alphas[p] = np.full((m, n), np.nan, dtype=np.complex128)
-                alphas[p][members[:k]] = rows[p][:k]
+            alphas[p] = np.full((m, n), np.nan, dtype=np.complex128)
+            alphas[p][members] = rows[p]
         for idx, members, values in self.coef.values():
-            k = bisect.bisect_left(members, m)
             col, mask = coefficients[idx] = np.zeros(m, dtype=np.complex128), np.zeros(m, dtype=bool)
-            col[members[:k]], mask[members[:k]] = values[:k], True
-        nu = np.array([mem[0] for mem in kept], dtype=np.complex128).reshape(m, n - 1)
-        l1 = np.array([mem[1] for mem in kept], dtype=float)
-        family._fill(n, label, nu, l1, tuple(mem[2] for mem in kept), coefficients, alphas, {})
+            col[members], mask[members] = values, True
+        nu = np.array([mem[0] for mem in self.members], dtype=np.complex128).reshape(m, n - 1)
+        l1 = np.array([mem[1] for mem in self.members], dtype=float)
+        family._fill(n, label, nu, l1, tuple(mem[2] for mem in self.members), coefficients, alphas, {})
 
 
-def _coherence_fault(family: Family):
-    """The first coefficient, in member, prime and key order, that misses the
+def _check_coherence(family: Family) -> None:
+    """Raise FamilyValidationError at the first coefficient found that misses the
     character value ``coefficient(x, idx)`` of a stored parameter by more than
-    CS_COHERENCE_TOL, or by a residual that is not a number (an overflowing
-    value), as a fault; one _schur call (one h recurrence) per prime and tuple
-    of coefficient keys."""
+    CS_COHERENCE_TOL, or by a residual that is not a number (an overflowing value);
+    for one member, that is its first in prime and key order.  One _schur call
+    (one h recurrence) per prime and tuple of coefficient keys."""
     groups: dict[tuple, list[int]] = {}
     for j, (keys, primes) in enumerate(family._keys):
         if keys and primes:
             for p in primes:
                 groups.setdefault((p, keys), []).append(j)
-    first = None
     for (p, keys), members in groups.items():
         lams = [[v for v in aleph(idx).parts if v > 0] for idx in keys]
         vals = np.stack([family.coefficients[idx][members] for idx in keys], axis=-1)
@@ -621,15 +616,10 @@ def _coherence_fault(family: Family):
         for g, k in np.argwhere(~(np.abs(vals - chars) <= CS_COHERENCE_TOL * (1 - 1e-9))):
             residual = abs(complex(vals[g, k]) - complex(chars[g, k]))
             if not residual <= CS_COHERENCE_TOL:
-                j = members[g]
-                where = (family._keys[j][1].index(p), int(k))
-                if first is None or (j, where) < first[:2]:
-                    first = (j, where, FamilyValidationError(
-                        f"coefficient {keys[k].l} incoherent with the "
-                        f"parameter at p={p} (residual {residual:.3g})"
-                    ))
-                break
-    return first
+                raise FamilyValidationError(
+                    f"coefficient {keys[k].l} incoherent with the "
+                    f"parameter at p={p} (residual {residual:.3g})"
+                )
 
 
 def family_to_dict(family: Family) -> dict:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .characters import TensorSpec
+from .weights import _check_rank
 
 __all__ = [
     "RngSeed",
@@ -81,8 +82,7 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     ends in a Haar U(n) characteristic polynomial with coefficients (-1)^k e_k.
     Scaling e_k by c^k, c = det^(-1/n) times a uniform n-th root of unity, lands on SU(n).
     """
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
+    _check_rank(n)
     radius = rng.random((n - 1, count))  # sqrt(1 - (1 - U)^(1/b)), in place
     np.log1p(np.negative(radius, out=radius), out=radius)
     radius /= np.arange(n - 1, 0, -1)[:, None]

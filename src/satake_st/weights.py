@@ -33,15 +33,21 @@ def _check_rank(n: int) -> int:
     return n
 
 
+def _exact(raw: tuple, kind: type) -> tuple | None:
+    """raw as a tuple of Python ints or complexes, or None if an entry does not convert or, for int, is not equal to its int."""
+    try:
+        values = tuple(map(kind, raw))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return values if kind is not int or values == raw else None
+
+
 def _store(obj, name: str, kind: type, length: int, noun: str = "entries") -> tuple:
     """Set a frozen dataclass's field `name` to a tuple of `length` Python ints or complexes; an int
     field takes only entries equal to their int, so 0.5, inf, NaN, '1' and None raise, not truncate."""
     raw = tuple(getattr(obj, name))
-    try:
-        values = tuple(map(kind, raw))
-    except (TypeError, ValueError, OverflowError):
-        values = None
-    if values is None or (kind is int and values != raw):
+    values = _exact(raw, kind)
+    if values is None:
         raise ValueError(f"{type(obj).__name__}.{name} must be {'integers' if kind is int else 'complex numbers'}, got {raw}")
     if len(values) != length:
         raise ValueError(f"expected {length} {noun}, got {len(values)}")

@@ -393,8 +393,13 @@ class TestFailureContract:
 
     @pytest.mark.parametrize(
         "args",
-        [["decompose", "--n", "1", "--spec", "0"], ["moment", "--n", "1", "--spec", "0", "--m", "10"]],
-        ids=["decompose", "moment"],
+        [
+            ["decompose", "--n", "1", "--spec", "0"],
+            ["moment", "--n", "1", "--spec", "0", "--m", "10"],
+            ["sample", "--n", "1", "--m", "10"],
+            ["equidist", "--n", "1", "--synth-size", "5"],
+        ],
+        ids=["decompose", "moment", "sample", "equidist"],
     )
     def test_rank_1_spec_names_the_rank(self, runner, args):
         result = runner.invoke(cli, args)

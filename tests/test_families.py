@@ -1,5 +1,6 @@
 """Family statistics, synthesis, and the ingestion contract."""
 
+import copy
 import itertools
 import math
 import pathlib
@@ -895,4 +896,56 @@ class TestBatchedLoader:
         fam = family_from_dict(doc)
         assert len(fam) == 40
         assert calls == {"canonicalize_batch": 2, "_schur": 2}
+
+    @staticmethod
+    def coherent_document(m):
+        members = [coherent_member(seed=s, primes=(2, 3), with_coeffs=True) for s in range(m)]
+        return family_to_dict(Family(3, tuple(members)))
+
+    @staticmethod
+    def inject(raw, kind):
+        """One fault in a member of coherent_document; the malformed field follows a valid row at p=2."""
+        if kind == "malformed-field":
+            raw["satake"]["3"] = raw["satake"]["3"][1:]
+        elif kind == "bad-satake-row":
+            raw["satake"]["2"][0] = [2 * v for v in raw["satake"]["2"][0]]
+        else:
+            raw["coefficients"]["1,0"][0] += 0.5
+
+    @pytest.mark.parametrize("kind", ["malformed-field", "bad-satake-row", "incoherent-coefficient"])
+    def test_halving_finds_a_single_fault_at_every_position(self, kind):
+        # 37 members: an odd size, not a power of two, so the halves are uneven
+        clean = self.coherent_document(37)
+        for j in range(37):
+            doc = copy.deepcopy(clean)
+            self.inject(doc["members"][j], kind)
+            with pytest.raises(FamilyValidationError) as want:
+                family_from_dict_per_member(doc)
+            with pytest.raises(FamilyValidationError, match=f"^member {j}: ") as got:
+                family_from_dict(doc)
+            assert str(got.value) == str(want.value)
+
+    def test_the_first_of_two_faulty_members_is_reported(self):
+        doc = self.coherent_document(37)
+        self.inject(doc["members"][0], "incoherent-coefficient")
+        self.inject(doc["members"][36], "bad-satake-row")
+        with pytest.raises(FamilyValidationError, match=r"^member 0: coefficient \(1, 0\) incoherent"):
+            family_from_dict(doc)
+
+    def test_a_fault_in_the_last_member_takes_logarithmically_many_batches(self, monkeypatch):
+        m, primes = 256, 2
+        doc = self.coherent_document(m)  # built before counting: Family validates too
+        self.inject(doc["members"][m - 1], "bad-satake-row")
+        calls = []
+
+        def counted(rows, _f=families.canonicalize_batch):
+            calls.append(len(rows))
+            return _f(rows)
+
+        monkeypatch.setattr(families, "canonicalize_batch", counted)
+        with pytest.raises(FamilyValidationError, match=f"^member {m - 1}: p=2: product deviates"):
+            family_from_dict(doc)
+        # one batch per prime for the whole run, for each halving step and for the member left;
+        # checking the members one at a time would take about m batches per prime
+        assert len(calls) <= primes * (2 * math.log2(m) + 3)
 
