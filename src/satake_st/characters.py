@@ -60,9 +60,13 @@ class CharacterTable:
     terms: dict
 
     def multiplicity(self, w: tuple) -> int:
-        """The multiplicity of w, read modulo the all-ones vector; an entry not equal to its int raises."""
-        if _exact(tuple(w), int) is None:
-            raise ValueError(f"weight entries must be integers, got {tuple(w)}")
+        """The multiplicity of w, read modulo the all-ones vector; an entry not equal to its int, or a
+        weight of other than N entries, raises."""
+        w = tuple(w)
+        if _exact(w, int) is None:
+            raise ValueError(f"weight entries must be integers, got {w}")
+        if len(w) != self.n:
+            raise ValueError(f"expected {self.n} entries, got {len(w)}")
         return self.terms.get(_canon(w), 0)
 
     def mass(self) -> int:

@@ -2,9 +2,11 @@
 
 The sampler is exact and builds no matrix: Killip-Nenciu's independent
 Verblunsky coefficients a_k give the characteristic polynomial of a Haar U(N)
-matrix, and a uniformly random N-th root of its determinant moves it to
-SU(N).  Each |a_k|^2 ~ Beta(1, b) is drawn by its inverse CDF 1 - (1 - U)^(1/b),
-each phase by cos/sin of a uniform angle.  A draw is the row (e_1, ..., e_{N-1})
+matrix, and fixing the last one, on which alone the determinant depends, gives
+Haar SU(N).  Each |a_k|^2 ~ Beta(1, b) is the least of b uniforms, each phase
+the cos/sin of a uniform angle, so a draw runs only min, sqrt, cos, sin and
+complex arithmetic: its bits do not depend on numpy's SIMD target, save for
+complex multiply with or without FMA.  A draw is the row (e_1, ..., e_{N-1})
 of its coefficients, the paper's varrho coordinates, in which class functions are polynomials;
 ``mc_integrate`` integrates these rows and never forms eigenvalues, which
 ``sample_st_batch`` and ``sample_bank`` take as the polynomial's roots.
@@ -77,21 +79,24 @@ class McEstimate:
 def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, n-1) rows e_1..e_{n-1} of Haar SU(n) characteristic polynomials.
 
-    The Szego recursion Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^*, with independent
-    a_k of uniform phase, |a_k|^2 ~ Beta(1, n-k-1) for k < n-1 and |a_{n-1}| = 1,
-    ends in a Haar U(n) characteristic polynomial with coefficients (-1)^k e_k.
-    Scaling e_k by c^k, c = det^(-1/n) times a uniform n-th root of unity, lands on SU(n).
+    The Szego recursion Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^*, with independent a_k of uniform phase,
+    |a_k|^2 ~ Beta(1, n-1-k) (the least of n-1-k uniforms) for k < n-1 and |a_{n-1}| = 1, ends in the
+    Haar U(n) characteristic polynomial det(z - U), whose coefficient of z^(n-k) is (-1)^k e_k (R. Killip
+    and I. Nenciu, "Matrix models for circular ensembles", IMRN 2004).  Its constant term -conj(a_{n-1})
+    is (-1)^n det U, and a_{n-1} is independent of the rest, so fixing a_{n-1} = (-1)^(n+1) conditions
+    Haar U(n) on det = 1, giving Haar SU(n).  The odd-k columns are negated once at the end.
     """
     _check_rank(n)
-    radius = rng.random((n - 1, count))  # sqrt(1 - (1 - U)^(1/b)), in place
-    np.log1p(np.negative(radius, out=radius), out=radius)
-    radius /= np.arange(n - 1, 0, -1)[:, None]
-    np.sqrt(np.negative(np.expm1(radius, out=radius), out=radius), out=radius)
-    theta = rng.random((n, count))
+    a = np.full((n, count), (-1.0) ** (n + 1), dtype=np.complex128)
+    radius = a[:-1].real  # a view: |a_k|^2, then |a_k|, then Re a_k
+    for k in range(n - 1):
+        np.min(rng.random((n - 1 - k, count)), axis=0, out=radius[k])
+    np.sqrt(radius, out=radius)
+    theta = rng.random((n - 1, count))
     theta *= 2 * np.pi
-    a = _unit(theta)
-    a[:-1] *= radius
-    del radius, theta  # freed before the recursion, whose three arrays set the peak
+    a[:-1].imag = radius * np.sin(theta)
+    radius *= np.cos(theta)
+    del theta  # freed before the recursion, whose three arrays set the peak
     # phi[j - 1] is the coefficient of z^(k-j) in Phi_k: the result's columns, then the constant term.
     # The monic 1 is not stored: step k sets phi[k] = -conj(a[k]) and forms the k + 1 products a[k] *
     # phi[k::-1], the first unused, in one call, which keeps numpy's FMA path (and bits) even at count 1.
@@ -101,22 +106,10 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         np.negative(np.conjugate(a[k], out=phi[k]), out=phi[k])
         term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])[1:]
         phi[:k] -= np.conjugate(term, out=term)
-    step = -_unit((2 * np.pi * rng.integers(0, n, size=count) - np.angle((-1) ** n * phi[n - 1])) / n)
-    power = step.copy()
-    for k in range(n - 1):
-        phi[k] *= power
-        power *= step
+    np.negative(phi[: n - 1 : 2], out=phi[: n - 1 : 2])  # e_k = (-1)^k phi[k - 1]
     del phi
     buf.resize((count, n - 1), refcheck=False)  # drops the constant term in place; no view of buf is left
     return buf
-
-
-def _unit(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta), by cos and sin into the real and imaginary parts of one array."""
-    z = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=z.real)
-    np.sin(theta, out=z.imag)
-    return z
 
 
 def _canonical_roots(e: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ None of these is used by the library itself:
   alternants (distinct eigenvalues only);
 - ``monomial_by_complex_power`` evaluates a spec's character monomial as
   ``e**i * conj(e)**i'`` column by column, with numpy's complex power;
-- ``haar_su_varrho_row_major`` is the Szego-recursion draw as it was before
-  banks were column-major: a (N+1, count) work array with the monic row,
-  then a transposing copy;
+- ``haar_su_varrho_row_major`` is the Szego-recursion draw from a
+  row-major (N+1, count) work array with the monic row, then a transposing
+  copy (the draw's layout before banks were column-major);
 - ``monomial_from_ones`` is ``TensorSpec.monomial`` multiplying each factor
   into a fresh array of ones, and ``mc_estimate_from_bank`` is
   ``mc_integrate``'s mean and standard error by ``mean()`` and three
@@ -60,7 +60,6 @@ from satake_st.families import (
     _is_prime,
     _pair_to_complex,
 )
-from satake_st.sampling import _unit
 from satake_st.satake import canonicalize, canonicalize_batch
 from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _check_rank, aleph
 
@@ -256,9 +255,9 @@ def monomial_by_complex_power(spec: TensorSpec, e: np.ndarray) -> np.ndarray:
 
 def haar_su_varrho_row_major(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """The draw of ``sampling._haar_su_varrho`` from a row-major work array, C-ordered."""
-    radius = np.sqrt(-np.expm1(np.log1p(-rng.random((n - 1, count))) / np.arange(n - 1, 0, -1)[:, None]))
-    a = _unit(2 * np.pi * rng.random((n, count)))
-    a[:-1] *= radius
+    radius = np.sqrt([rng.random((n - 1 - k, count)).min(axis=0) for k in range(n - 1)])
+    theta = 2 * np.pi * rng.random((n - 1, count))
+    a = np.concatenate([(np.cos(theta) + 1j * np.sin(theta)) * radius, np.full((1, count), (-1.0) ** (n + 1) + 0j)])
     # phi[j] is the coefficient of z^(k-j) in Phi_k; Phi_k^* has them reversed and conjugated
     phi = np.zeros((n + 1, count), dtype=np.complex128)
     phi[0] = 1.0
@@ -266,11 +265,7 @@ def haar_su_varrho_row_major(n: int, count: int, rng: np.random.Generator) -> np
     for k in range(n):
         term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])
         phi[1 : k + 2] -= np.conjugate(term, out=term)
-    step = -_unit((2 * np.pi * rng.integers(0, n, size=count) - np.angle((-1) ** n * phi[n])) / n)
-    power = step.copy()
-    for k in range(1, n):
-        phi[k] *= power
-        power *= step
+    phi[1::2] = -phi[1::2]  # the coefficient of z^(n-k) is (-1)^k e_k
     return phi[1:n].T.copy()
 
 

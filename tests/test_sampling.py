@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,35 @@ class TestReproducibility:
         assert b is not a and b.tobytes() == a.tobytes()
         assert varrho_bank(3, 1000, 13) is b  # keyword and positional calls share one entry
         assert not b.flags.writeable
+
+    def test_draws_banks_and_estimates_do_not_depend_on_the_simd_target(self):
+        # numpy picks each ufunc's loop for the CPU at import, so a child process with X86_V4 (AVX-512)
+        # disabled runs the draw as a host without it would; the variable is set in that child only
+        probe = """
+import hashlib
+from satake_st.characters import TensorSpec
+from satake_st.sampling import RngSeed, _haar_su_varrho, char_monomial, mc_integrate, varrho_bank
+h = hashlib.sha256()
+for n in (2, 3, 4, 6, 10):
+    for count in (1, 2, 3, 2049, 20000):
+        h.update(_haar_su_varrho(n, count, RngSeed(43).generator()).tobytes())
+    h.update(varrho_bank(n, 2049, 44).tobytes())
+    for spec in TensorSpec.up_to_degree(n, 2 if n <= 4 else 1):
+        est = mc_integrate(char_monomial(spec), n, 2049, seed=44)
+        h.update(f"{est.mean.real.hex()} {est.mean.imag.hex()} {est.std_error.hex()}".encode())
+print(h.hexdigest())
+"""
+        env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+        src = str(pathlib.Path(sampling.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        digests = []
+        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}):
+            run = subprocess.run([sys.executable, "-c", probe], env=env | disabled, capture_output=True, text=True)
+            if run.returncode and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+                pytest.skip(f"numpy rejects {disabled}: {run.stderr.strip().splitlines()[-1]}")
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestMcIntegrate:
@@ -326,31 +358,44 @@ def golden_values() -> dict:
 
 
 def golden_dispatch() -> dict:
-    """numpy's version and the SIMD targets of the draw's ufunc loops whose last bits differ between
-    targets (sin, cos, log1p, expm1 and arctan2 by their kernels, complex multiply by FMA)."""
-    ufuncs = "^(sin|cos|log1p|expm1|arctan2|multiply)$"
-    info = np.lib.introspect.opt_func_info(func_name=ufuncs, signature="float64|complex128")
-    targets = {f"{f} {sig}": t["current"] for f, sigs in info.items() for sig, t in sigs.items()}
-    return {"numpy": np.__version__, "targets": targets}
+    """numpy's version and the SIMD targets of the ufunc loops a pin's last bits depend on: complex
+    multiply (FMA or not) in every draw, and float power in ``perturb_radial``'s radial noise."""
+    info = np.lib.introspect.opt_func_info(func_name="^(multiply|power)$")
+    targets = {f"{f} {sig}": info[f][sig]["current"] for f, sig in (("multiply", "DDD"), ("power", "ddd"))}
+    return {"numpy": np.__version__, **targets}
+
+
+def check_golden_group(t1_perturbed: bool) -> None:
+    """Compare one group of pins with the golden file, or skip if numpy or a loop the group passes
+    through differs from the file's: the t1-perturbed synthetic families also pass through power."""
+    want = json.loads(GOLDEN.read_text())
+    loops = ["numpy", "multiply DDD", "power ddd"] if t1_perturbed else ["numpy", "multiply DDD"]
+    pinned = {key: want["dispatch"][key] for key in loops}
+    if np.__version__ != pinned["numpy"] or {key: golden_dispatch()[key] for key in loops} != pinned:
+        pytest.skip(f"the pins hold under {pinned}; other versions and SIMD targets give other last bits")
+    got = golden_values()
+    for part in ("mc", "sha256"):
+        assert got[part].keys() == want[part].keys()
+        keys = [key for key in want[part] if ("t1-perturbed" in key) == t1_perturbed]
+        moved = [key for key in keys if got[part][key] != want[part][key]]
+        assert not moved, f"{len(moved)} of {len(keys)} {part} values moved, e.g. {moved[:3]}"
 
 
 class TestGoldenBits:
     """Every seeded draw, bank and estimate keeps the bits it had when the golden file was written."""
 
     def test_draws_banks_and_estimates_match_the_golden_file(self):
-        want = json.loads(GOLDEN.read_text())
-        if np.__version__ != want["dispatch"]["numpy"] or golden_dispatch() != want["dispatch"]:
-            pytest.skip(f"the pins hold under {want['dispatch']}; other versions and SIMD targets give other last bits")
-        got = golden_values()
-        for part in ("mc", "sha256"):
-            assert got[part].keys() == want[part].keys()
-            moved = [key for key in want[part] if got[part][key] != want[part][key]]
-            assert not moved, f"{len(moved)} of {len(want[part])} {part} values moved, e.g. {moved[:3]}"
+        check_golden_group(t1_perturbed=False)
+
+    def test_t1_perturbed_families_match_the_golden_file(self):
+        check_golden_group(t1_perturbed=True)
 
 
 class TestOracleBits:
     """On any host, the column-major draw, the monomial and mc_integrate give the bits of the
-    row-major draw, the product started from ones and the reduction by mean() and three temporaries."""
+    row-major draw, the product started from ones and the reduction by mean() and three temporaries.
+    A monomial's bits are compared up to the sign of a zero: e_{N/2} is exactly real at even N, and a
+    product started from 1 + 0j turns some zero imaginary parts -0 into +0 (-0 + 0 x = +0 for x > 0)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
     def test_draw_matches_the_row_major_recursion(self, n):
@@ -367,6 +412,7 @@ class TestOracleBits:
         for m in (2, 3, 8193, 20000):
             bank = haar_su_varrho_row_major(n, m, RngSeed(42).generator())
             for spec in golden_specs(n):
-                assert spec.monomial(varrho_bank(n, m, 42)).tobytes() == monomial_from_ones(spec, bank).tobytes()
+                got, want = spec.monomial(varrho_bank(n, m, 42)), monomial_from_ones(spec, bank)
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # x + 0.0 is x, with -0 made +0
                 est = mc_integrate(char_monomial(spec), n, m, seed=42)
                 assert bits(est.mean, est.std_error) == bits(*mc_estimate_from_bank(spec, bank)), (m, spec)

@@ -167,11 +167,16 @@ class TestDominance:
         assert table.multiplicity((4, 3, 2)) == table.multiplicity((2, 1, 0)) == 1
         assert table.multiplicity((3, 3, 3)) == table.multiplicity((0, 0, 0)) == 2
 
-    @pytest.mark.parametrize("w", [(2.5, 1, 0), (2, 1, 0.5), (math.inf, 0, 0), (math.nan, 0, 0), ("2", 1, 0), (None, 1, 0)])
+    @pytest.mark.parametrize(
+        "w",
+        [(2.5, 1, 0), (2, 1, 0.5), (math.inf, 0, 0), (math.nan, 0, 0), ("2", 1, 0), (None, 1, 0), (1, 0), (2, 1, 0, 0)],
+    )
     def test_an_entry_not_equal_to_its_int_raises(self, w):
-        # as in the value types: no entry is truncated to a neighbouring weight
+        # as in the value types: no entry is truncated to a neighbouring weight, and no weight of the
+        # wrong length reads as one of multiplicity 0
         table = weight_table(DominantWeight(3, (2, 1, 0)))
-        with pytest.raises(ValueError, match="^weight entries must be integers"):
+        message = "^weight entries must be integers" if len(w) == 3 else f"^expected 3 entries, got {len(w)}$"
+        with pytest.raises(ValueError, match=message):
             table.multiplicity(w)
         assert table.multiplicity((2.0, 1.0, 0.0)) == table.multiplicity(np.array([4, 3, 2])) == 1
 
