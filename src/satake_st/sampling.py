@@ -2,8 +2,8 @@
 
 The sampler is exact and builds no matrix: Killip-Nenciu's independent
 Verblunsky coefficients a_k give the characteristic polynomial of a Haar U(N)
-matrix, and fixing the last one, on which alone the determinant depends, gives
-Haar SU(N).  Each |a_k|^2 ~ Beta(1, b) is the least of b uniforms, each phase
+matrix V, and fixing the last one, on which alone the determinant depends, at -1
+gives det V = (-1)^N, so -V is Haar SU(N).  Each |a_k|^2 ~ Beta(1, b) is the least of b uniforms, each phase
 the cos/sin of a uniform angle, so a draw runs only min, sqrt, cos, sin and
 complex arithmetic: its bits do not depend on numpy's SIMD target, save for
 complex multiply with or without FMA.  A draw is the row (e_1, ..., e_{N-1})
@@ -81,13 +81,14 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     The Szego recursion Phi_{k+1} = z Phi_k - conj(a_k) Phi_k^*, with independent a_k of uniform phase,
     |a_k|^2 ~ Beta(1, n-1-k) (the least of n-1-k uniforms) for k < n-1 and |a_{n-1}| = 1, ends in the
-    Haar U(n) characteristic polynomial det(z - U), whose coefficient of z^(n-k) is (-1)^k e_k (R. Killip
-    and I. Nenciu, "Matrix models for circular ensembles", IMRN 2004).  Its constant term -conj(a_{n-1})
-    is (-1)^n det U, and a_{n-1} is independent of the rest, so fixing a_{n-1} = (-1)^(n+1) conditions
-    Haar U(n) on det = 1, giving Haar SU(n).  The odd-k columns are negated once at the end.
+    Haar U(n) characteristic polynomial det(z - V) (R. Killip and I. Nenciu, "Matrix models for circular
+    ensembles", IMRN 2004).  Its constant term -conj(a_{n-1}) is (-1)^n det V, and a_{n-1} is independent
+    of the rest, so fixing a_{n-1} = -1 conditions Haar U(n) on det V = (-1)^n; then U = -V is Haar SU(n).
+    The coefficient of z^(n-k) in det(z - V) is (-1)^k e_k(V) = e_k(U), so the recursion's coefficients
+    are the rows as they stand.
     """
     _check_rank(n)
-    a = np.full((n, count), (-1.0) ** (n + 1), dtype=np.complex128)
+    a = np.full((n, count), -1.0, dtype=np.complex128)
     radius = a[:-1].real  # a view: |a_k|^2, then |a_k|, then Re a_k
     for k in range(n - 1):
         np.min(rng.random((n - 1 - k, count)), axis=0, out=radius[k])
@@ -106,7 +107,6 @@ def _haar_su_varrho(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
         np.negative(np.conjugate(a[k], out=phi[k]), out=phi[k])
         term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])[1:]
         phi[:k] -= np.conjugate(term, out=term)
-    np.negative(phi[: n - 1 : 2], out=phi[: n - 1 : 2])  # e_k = (-1)^k phi[k - 1]
     del phi
     buf.resize((count, n - 1), refcheck=False)  # drops the constant term in place; no view of buf is left
     return buf

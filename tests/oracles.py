@@ -257,7 +257,7 @@ def haar_su_varrho_row_major(n: int, count: int, rng: np.random.Generator) -> np
     """The draw of ``sampling._haar_su_varrho`` from a row-major work array, C-ordered."""
     radius = np.sqrt([rng.random((n - 1 - k, count)).min(axis=0) for k in range(n - 1)])
     theta = 2 * np.pi * rng.random((n - 1, count))
-    a = np.concatenate([(np.cos(theta) + 1j * np.sin(theta)) * radius, np.full((1, count), (-1.0) ** (n + 1) + 0j)])
+    a = np.concatenate([(np.cos(theta) + 1j * np.sin(theta)) * radius, np.full((1, count), -1.0 + 0j)])
     # phi[j] is the coefficient of z^(k-j) in Phi_k; Phi_k^* has them reversed and conjugated
     phi = np.zeros((n + 1, count), dtype=np.complex128)
     phi[0] = 1.0
@@ -265,7 +265,6 @@ def haar_su_varrho_row_major(n: int, count: int, rng: np.random.Generator) -> np
     for k in range(n):
         term = np.multiply(a[k], phi[k::-1], out=tmp[: k + 1])
         phi[1 : k + 2] -= np.conjugate(term, out=term)
-    phi[1::2] = -phi[1::2]  # the coefficient of z^(n-k) is (-1)^k e_k
     return phi[1:n].T.copy()
 
 

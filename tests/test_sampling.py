@@ -394,8 +394,9 @@ class TestGoldenBits:
 class TestOracleBits:
     """On any host, the column-major draw, the monomial and mc_integrate give the bits of the
     row-major draw, the product started from ones and the reduction by mean() and three temporaries.
-    A monomial's bits are compared up to the sign of a zero: e_{N/2} is exactly real at even N, and a
-    product started from 1 + 0j turns some zero imaginary parts -0 into +0 (-0 + 0 x = +0 for x > 0)."""
+    A monomial's imaginary parts are compared up to the sign of a zero, its real parts bit for bit:
+    e_{N/2} is exactly real at even N, and a product started from 1 + 0j turns a zero imaginary
+    part -0, such as conj(e_{N/2})'s, into +0 (-0 + 0 x = +0 for x > 0)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
     def test_draw_matches_the_row_major_recursion(self, n):
@@ -413,6 +414,7 @@ class TestOracleBits:
             bank = haar_su_varrho_row_major(n, m, RngSeed(42).generator())
             for spec in golden_specs(n):
                 got, want = spec.monomial(varrho_bank(n, m, 42)), monomial_from_ones(spec, bank)
-                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # x + 0.0 is x, with -0 made +0
+                assert got.real.tobytes() == want.real.tobytes(), (m, spec)
+                assert (got.imag + 0.0).tobytes() == (want.imag + 0.0).tobytes(), (m, spec)  # -0 + 0.0 is +0
                 est = mc_integrate(char_monomial(spec), n, m, seed=42)
                 assert bits(est.mean, est.std_error) == bits(*mc_estimate_from_bank(spec, bank)), (m, spec)
