@@ -92,6 +92,15 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
     for p, alpha in pairs:
         if not math.isfinite(alpha):
             raise ValueError(f"alpha must be finite, got {alpha}")
+        try:  # the sweep's largest value: the closed bound at max_degree, as specialization_bound_n3 forms it
+            x = float(p) ** alpha
+            fits = math.isfinite((x + 1.0 + 1.0 / x) ** max_degree)
+        except (OverflowError, ZeroDivisionError):  # p^alpha above the float range, or below it
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={p}, alpha={alpha}, d={max_degree}"
+            )
         if table is None:
             table = [(spec, _dominant_coefficients(spec)) for spec in TensorSpec.up_to_degree(3, max_degree)]
         rows = []

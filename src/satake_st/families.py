@@ -12,16 +12,18 @@ alike and hold canonical Satake parameters.  Every check reads one member, so
 they check all members as one batch and, on a fault, check halves again until
 one member is left, whose own fault they report as ``member j: ...``;
 synthesis writes trusted columns directly, and the writer reads them.
-``Family.members`` builds ``FamilyMember`` views of the rows.
+``Family.members`` builds ``FamilyMember`` views of the rows, forming roots as read.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -129,7 +131,7 @@ class FamilyMember:
     nu: SpectralParameter
     l1_adjoint: float
     coefficients: dict | None = None  # CoefficientIndex -> complex
-    satake: dict | None = None  # prime -> SatakeParameter
+    satake: Mapping | None = None  # prime -> SatakeParameter
 
     def __post_init__(self):
         c0 = None if self.coefficients is None else self.coefficients.get(CoefficientIndex.zero(self.nu.n))
@@ -183,17 +185,45 @@ class Family:
 
     @property
     def members(self) -> tuple[FamilyMember, ...]:
-        """The rows as FamilyMember values, built anew on each access."""
-        n, alphas = self.n, {p: self.alphas(p).tolist() for p in self._alphas}
+        """The rows as FamilyMember values, built anew on each access.  Each satake is a read-only
+        mapping; a prime's roots are formed once per access, when some view first reads it."""
+        n, roots = self.n, functools.cache(lambda p: self.alphas(p).tolist())  # this access's roots
         coefficients = {idx: v.tolist() for idx, v in self.coefficients.items()}
         return tuple(
             FamilyMember(
                 SpectralParameter(n, nu), l1,
                 None if keys is None else {idx: coefficients[idx][j] for idx in keys},
-                None if primes is None else {p: SatakeParameter(n, alphas[p][j]) for p in primes},
+                None if primes is None else _SatakeView(n, roots, j, primes),
             )
             for j, (nu, l1, (keys, primes)) in enumerate(zip(self.nu.tolist(), self.l1.tolist(), self._keys))
         )
+
+
+class _SatakeView(Mapping):
+    """Member j's read-only prime -> SatakeParameter, each read built from roots(p): the
+    family's canonical rows at p as lists, formed by the first read of p in one members access."""
+
+    __slots__ = ("_n", "_roots", "_j", "_primes")
+
+    def __init__(self, n: int, roots, j: int, primes: tuple):
+        self._n, self._roots, self._j, self._primes = n, roots, j, primes
+
+    def __getitem__(self, p):
+        if p not in self._primes:
+            raise KeyError(p)
+        return SatakeParameter(self._n, self._roots(p)[self._j])
+
+    def __contains__(self, p) -> bool:  # a key test forms no roots
+        return p in self._primes
+
+    def __iter__(self):
+        return iter(self._primes)
+
+    def __len__(self) -> int:
+        return len(self._primes)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def weight(member: FamilyMember, h: TestFunctionH, t: float) -> float:

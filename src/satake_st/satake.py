@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .characters import elementary_symmetric, eval_char
-from .weights import CoefficientIndex, DominantWeight, _check_rank, _store, aleph
+from .characters import _schur, elementary_symmetric, eval_char
+from .weights import CoefficientIndex, DominantWeight, _check_rank, _store
 
 __all__ = [
     "SatakeParameter",
@@ -118,10 +119,11 @@ def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
 
 
 def coefficient(x: SatakeParameter, idx: CoefficientIndex) -> complex:
-    """Prime-power Fourier coefficient: the character at the matching weight."""
+    """Prime-power Fourier coefficient: the character at aleph(idx), whose positive parts are the
+    positive partial sums of idx.l, largest first; x has N nonzero entries, as _schur needs."""
     if idx.n != x.n:
         raise ValueError(f"rank mismatch: index N={idx.n}, parameter N={x.n}")
-    return complex(eval_char(aleph(idx), x.as_array()))
+    return complex(_schur(x.as_array(), [[v for v in accumulate(idx.l) if v > 0][::-1]])[0])
 
 
 def varrho(x: SatakeParameter) -> tuple[complex, ...]:

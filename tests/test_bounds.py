@@ -1,5 +1,8 @@
 """Error envelopes and the exact multiplicity-sum inequality."""
 
+import math
+import re
+
 import pytest
 
 from satake_st.bounds import (
@@ -123,6 +126,17 @@ class TestMultiplicityBounds:
         assert verify_multiplicity_bounds([], 4) == []
         with pytest.raises(ValueError, match="alpha must be finite, got nan"):
             verify_multiplicity_bounds([(2, 0.5), (3, float("nan"))], 2)
+
+    @pytest.mark.parametrize("alpha", [256.0, -256.0, 1e308, -1e308])
+    def test_an_overflowing_closed_bound_names_p_alpha_and_degree(self, alpha):
+        # 2^256 is finite, but (2^256 + 1 + 2^-256)^4 is not; 2^-1e308 is 0.0
+        with pytest.raises(ValueError, match=re.escape(f"overflows a float at p=2, alpha={alpha}, d=4")):
+            verify_multiplicity_bounds([(3, 0.5), (2, alpha)], 4)
+
+    def test_the_largest_finite_closed_bound_still_verifies(self):
+        (rows,) = verify_multiplicity_bounds([(2, -255.0)], 4)
+        assert all(r.passed and math.isfinite(r.closed_bound) for r in rows)
+        assert verify_multiplicity_bounds([(2, 300.0)], 0)[0][0].closed_bound == 1.0  # degree 0 fits
 
 
 class TestRateReport:

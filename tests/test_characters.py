@@ -5,6 +5,7 @@ from exterior-power combinatorics, products from raw monomial convolution,
 and numeric values from the bialternant ratio.
 """
 
+import cmath
 import itertools
 import math
 import re
@@ -501,6 +502,34 @@ class TestShapeIndependence:
             assert np.array_equal(bits(np.concatenate(_schur(row[None], lams))), bits(together[g]))
             assert np.array_equal(bits([eval_char(mu, row) for mu in mus]), bits(chars[g]))
             assert np.array_equal(bits([eval_char(mu, row[None])[0] for mu in mus]), bits(chars[g]))
+
+
+def coefficient_indices(n: int) -> list[CoefficientIndex]:
+    """The zero index, every unit index and two mixed ones."""
+    mixed = [CoefficientIndex(n, tuple(range(1, n))), CoefficientIndex(n, (3,) + (0,) * (n - 3) + (2,) if n > 2 else (5,))]
+    return [CoefficientIndex.zero(n)] + [CoefficientIndex.unit(n, k) for k in range(1, n)] + mixed
+
+
+class TestCoefficientBits:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_coefficient_has_the_bits_of_eval_char_and_of_its_batch_row(self, n):
+        # near the torus, so that |l| = 1000 stays finite; off it, so that every h_r is a general sum
+        rng = np.random.default_rng(45)
+        head = np.exp(rng.normal(scale=0.05, size=(12, n - 1)) + 1j * rng.uniform(0, 2 * np.pi, size=(12, n - 1)))
+        params = [canonicalize(np.append(z, 1 / np.prod(z))) for z in head]
+        idxs = coefficient_indices(n) + ([CoefficientIndex(3, (1000, 0))] if n == 3 else [])
+        batch = np.stack([x.as_array() for x in params])
+        together = np.stack(_schur(batch, [[v for v in aleph(idx).parts if v > 0] for idx in idxs]), axis=-1)
+        for g, x in enumerate(params):
+            values = [coefficient(x, idx) for idx in idxs]
+            assert all(type(v) is complex and cmath.isfinite(v) for v in values)
+            assert np.array_equal(bits(values), bits([complex(eval_char(aleph(idx), x.as_array())) for idx in idxs]))
+            assert np.array_equal(bits(values), bits(together[g]))
+
+    def test_a_rank_mismatch_raises(self):
+        x = canonicalize([1j, -1j, 1])
+        with pytest.raises(ValueError, match=re.escape("rank mismatch: index N=4, parameter N=3")):
+            coefficient(x, CoefficientIndex(4, (1, 0, 0)))
 
 
 class TestUpToDegree:

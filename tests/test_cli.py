@@ -480,6 +480,15 @@ class TestErrorBoundary:
             (["bound", "--verify", "--alpha", "", "--max-degree", "1"], "empty item"),
             (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "-1"], "--max-degree"),
             (["bound", "--verify", "--max-degree", "-1"], "--max-degree"),
+            # p^|alpha| beyond the float range: the closed bound at the largest degree overflows
+            (["bound", "--verify", "--p", "2", "--alpha", "300", "--max-degree", "4"],
+             "overflows a float at p=2, alpha=300.0, d=4"),
+            (["bound", "--verify", "--p", "2", "--alpha", "-300", "--max-degree", "4"],
+             "overflows a float at p=2, alpha=-300.0, d=4"),
+            (["bound", "--verify", "--p", "2", "--alpha", "1e308", "--max-degree", "4"],
+             "overflows a float at p=2, alpha=1e+308, d=4"),
+            (["bound", "--verify", "--p", "2", "--alpha", "-1e308", "--max-degree", "4"],
+             "overflows a float at p=2, alpha=-1e+308, d=4"),
         ],
         ids=[
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
@@ -487,6 +496,7 @@ class TestErrorBoundary:
             "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
             "spec-empty-item", "empty-t-grid", "empty-alpha",
             "negative-max-degree-equidist", "negative-max-degree-bound",
+            "verify-alpha-300", "verify-alpha-minus-300", "verify-alpha-1e308", "verify-alpha-minus-1e308",
         ],
     )
     def test_bad_value_exits_2_with_error_object(self, runner, args, fragment):

@@ -688,6 +688,76 @@ class TestColumnStore:
         assert row.estimate == 1.0 and row.ess >= 1.0
 
 
+def eager_members(fam):
+    """The members with dict Satake views, every prime's roots formed at once from fam.alphas."""
+    alphas = {p: fam.alphas(p).tolist() for p in fam.e}
+    return tuple(
+        FamilyMember(
+            mem.nu, mem.l1_adjoint, mem.coefficients,
+            None if mem.satake is None else {p: SatakeParameter(fam.n, alphas[p][j]) for p in mem.satake},
+        )
+        for j, mem in enumerate(fam.members)
+    )
+
+
+@pytest.fixture
+def roots_formed(monkeypatch):
+    """The e-row arrays families._canonical_roots is called on, in call order."""
+    formed = []
+    roots = families._canonical_roots
+
+    def counted(e):
+        formed.append(e)
+        return roots(e)
+
+    monkeypatch.setattr(families, "_canonical_roots", counted)
+    return formed
+
+
+class TestLazyMemberRoots:
+    def test_roots_are_formed_once_per_access_and_only_where_read(self, roots_formed):
+        fam = synth_family(3, 50, primes=(2, 3, 5), seed=29)
+        members = fam.members
+        assert roots_formed == []
+        assert all(2 in mem.satake and list(mem.satake) == [2, 3, 5] for mem in members)  # keys form no roots
+        assert roots_formed == []
+        first = [mem.satake[2] for mem in members]
+        assert [mem.satake[2] for mem in members] == first
+        assert len(roots_formed) == 1 and roots_formed[0] is fam.e[2]
+        fam.members[0].satake[2]  # a new access forms its own roots
+        assert len(roots_formed) == 2
+
+    @pytest.mark.parametrize(
+        "make, forms_roots",
+        [
+            (lambda: synth_family(3, 40, primes=(2, 3, 5), seed=30), True),
+            (lambda: synth_family(4, 40, mode="t1-perturbed", primes=(3, 2), seed=31), False),
+            (lambda: load_family(GOLDEN), False),
+            (mixed_family, False),
+        ],
+        ids=["sato-tate", "t1-perturbed", "loaded", "mixed"],
+    )
+    def test_views_have_the_bits_of_eager_views(self, make, forms_roots, roots_formed):
+        fam = make()
+        roots_formed.clear()  # t1-perturbed synthesis forms its roots to perturb them
+        eager = eager_members(fam)
+        assert bool(roots_formed) == forms_roots  # stored rows need no roots
+        assert same_bits(fam, SimpleNamespace(n=fam.n, label=fam.label, members=eager))
+        assert fam.members == eager and eager == fam.members
+        assert same_bits(Family(fam.n, fam.members, fam.label), fam)
+
+    def test_a_view_is_a_read_only_mapping_that_shows_its_parameters(self):
+        fam = synth_family(3, 2, primes=(2, 3), seed=32)
+        mem, eager = fam.members[0], eager_members(fam)[0]
+        assert repr(mem) == repr(eager) and "object at" not in repr(mem.satake)
+        assert repr(mem.satake) == repr({p: mem.satake[p] for p in (2, 3)})
+        assert mem.satake.get(7) is None and 7 not in mem.satake and len(mem.satake) == 2
+        with pytest.raises(KeyError):
+            mem.satake[7]
+        with pytest.raises(TypeError):
+            mem.satake[7] = mem.satake[2]
+
+
 class TestEffectiveSampleSize:
     def test_equal_weights_give_the_family_size(self):
         mem = coherent_member(seed=26)
