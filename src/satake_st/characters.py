@@ -7,9 +7,8 @@ Pieri rule on partitions, with no weight tables (one strip table per
 factor size and call, from row bit masks, filtered by each partition's tie
 mask; unchecked result keys), and the bound sweep's dominant sums are those
 Pieri multiplicities times branching-rule table entries; numeric character
-values use the Jacobi-Trudi determinant with complete homogeneous symmetric
-functions h_r, taken from the e-row by the h-e duality (finite at coincident
-eigenvalues, unlike the bialternant ratio).
+values use the smaller Jacobi-Trudi determinant, in the e_k or in the h_r from
+them by the h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -317,12 +316,11 @@ def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
 
 
 def _signed_e_row(a: np.ndarray) -> np.ndarray:
-    """(1, -e_1, e_2, ..., (-1)^N e_N) of (..., N) eigenvalue rows, on a leading axis.
+    """(1, -e_1, e_2, ..., (-1)^N e_N, 0) of (..., N) eigenvalue rows, on a leading axis.
 
-    The coefficients of prod_i (1 - a_i t), one vector update per eigenvalue.
-    """
+    The coefficients of prod_i (1 - a_i t), one vector update per eigenvalue; the last 0 is every k outside 0..N."""
     n = a.shape[-1]
-    row = np.zeros((n + 1,) + a.shape[:-1], dtype=np.complex128)
+    row = np.zeros((n + 2,) + a.shape[:-1], dtype=np.complex128)
     row[0] = 1.0
     for i in range(n):
         row[1 : i + 2] -= a[..., i] * row[: i + 1]
@@ -338,34 +336,39 @@ def elementary_symmetric(arr: np.ndarray) -> np.ndarray:
 
 
 def _schur(arr: np.ndarray, lams) -> list[np.ndarray]:
-    """s_lam at (..., N) eigenvalue rows for each list lam of positive parts, from one h recurrence.
-
-    h runs up to the largest lam_1 + len(lam) - 1, from the e-row by the duality
-    sum_{i=0..N} (-1)^i e_i h_{r-i} = 0 for r >= 1 (Macdonald I.2.6'); each s_lam
-    is the Jacobi-Trudi determinant det(h_{lam_i - i + j}).
-
-    A row's bits do not depend on its batch: each step's N products are one
-    array op, added left to right by Python's sum over the leading axis
-    (``.sum(axis=0)`` adds a lone 1-D row of four or more terms pairwise);
-    complex adds are per component, so a 1-D row's scalar adds agree with them.
-    """
+    """s_lam at (..., N) eigenvalue rows for each list lam of positive parts, by the smaller Jacobi-Trudi
+    matrix (Macdonald I.3.4-5): if lam_1 <= len(lam), (-1)^|lam| det(row[lam'_i - i + j]) on the signed e-row
+    row[k] = (-1)^k e_k, lam' the conjugate; else det(h_{lam_i - i + j}), h up to the largest such lam_1 +
+    len(lam) - 1 by sum_{i=0..N} (-1)^i e_i h_{r-i} = 0 for r >= 1 (I.2.6').  A 1 x 1 determinant is its
+    entry, a 2 x 2 one a00 a11 - a01 a10 (exact at integer points), a larger one LAPACK's.  A row's bits
+    do not depend on its batch: products are array ops (a lone row's two 2 x 2 products one array), each
+    h step's N products are added left to right by Python's sum over the leading axis (``.sum(axis=0)``
+    adds a lone 1-D row of four or more pairwise), and complex adds are per component."""
     n = arr.shape[-1]
-    r_max = max((lam[0] + len(lam) - 1 for lam in lams if lam), default=0)
-    coeffs = -_signed_e_row(arr)[:0:-1]  # (-1)^(i-1) e_i for i = N..1
-    # h[n - 1 + r] holds h_r; the n - 1 leading zeros are h_r for r < 0
-    h = np.zeros((n + r_max,) + arr.shape[:-1], dtype=np.complex128)
-    h[n - 1] = 1.0
-    for r in range(n, n + r_max):
-        terms = coeffs * h[r - n : r]
-        h[r] = sum(terms[1:], terms[0])
+    row = _signed_e_row(arr)
+    r_max = max((lam[0] + len(lam) - 1 for lam in lams if lam and lam[0] > len(lam)), default=0)
+    if r_max:
+        coeffs = -row[n:0:-1]  # (-1)^(i-1) e_i for i = N..1
+        # h[n - 1 + r] holds h_r; the n - 1 leading zeros are h_r for r < 0, the last entry 0 any r > r_max
+        h = np.zeros((n + r_max + 1,) + arr.shape[:-1], dtype=np.complex128)
+        h[n - 1] = 1.0
+        for r in range(n, n + r_max):
+            terms = coeffs * h[r - n : r]
+            h[r] = sum(terms[1:], terms[0])
     out = []
     for lam in lams:
-        m = len(lam)
-        mat = np.empty(arr.shape[:-1] + (m, m), dtype=np.complex128)
-        for i in range(m):
-            for j in range(m):
-                mat[..., i, j] = h[n - 1 + lam[i] - i + j]
-        out.append(mat[..., 0, 0] if m == 1 else np.linalg.det(mat))  # 1 for the empty matrix, m = 0
+        e_form = not lam or lam[0] <= len(lam)
+        src, top = (row, n) if e_form else (h[n - 1 :], r_max)
+        parts = [sum(v > i for v in lam) for i in range(lam[0] if lam else 0)] if e_form else lam
+        k = [[v - i + j if 0 <= v - i + j <= top else -1 for j in range(len(parts))] for i, v in enumerate(parts)]
+        if len(k) > 2:
+            value = np.linalg.det(np.moveaxis(src[k], (0, 1), (-2, -1)))
+        elif len(k) == 2:
+            prods = src[[k[0][0], k[0][1]]] * src[[k[1][1], k[1][0]]]
+            value = prods[0] - prods[1]
+        else:
+            value = src[k[0][0]] if k else row[0]  # row[0] = 1, the empty determinant
+        out.append(0 - value if e_form and sum(lam) & 1 else value)  # 0 - value gives no -0j
     return out
 
 
@@ -373,19 +376,15 @@ def eval_char(mu: DominantWeight, alphas) -> np.ndarray:
     """Schur polynomial s_mu at the eigenvalue tuple(s) alphas.
 
     Vectorized over leading axes: alphas of shape (..., N) gives a result
-    of shape (...).  Jacobi-Trudi determinant in the complete homogeneous
-    basis, with h from the e-row by the h-e duality (``_schur``); e_N is the
-    product of the eigenvalues, so values off SU(N) are right too.
+    of shape (...).  The smaller Jacobi-Trudi determinant (``_schur``); e_N is
+    the product of the eigenvalues, so values off SU(N) are right too.
     """
     arr = np.asarray(alphas, dtype=np.complex128)
-    n = mu.n
-    if arr.shape[-1] != n:
-        raise ValueError(f"expected last axis of length {n}, got shape {arr.shape}")
+    if arr.shape[-1] != mu.n:
+        raise ValueError(f"expected last axis of length {mu.n}, got shape {arr.shape}")
     if not arr.all():
         raise ValueError("zero eigenvalue in character evaluation")
-    lam = [p for p in mu.parts if p > 0]
-    (out,) = _schur(arr, [lam])
-    return out
+    return _schur(arr, [[p for p in mu.parts if p > 0]])[0]
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:

@@ -191,7 +191,7 @@ class Family:
         coefficients = {idx: v.tolist() for idx, v in self.coefficients.items()}
         return tuple(
             FamilyMember(
-                SpectralParameter(n, nu), l1,
+                SpectralParameter._unchecked(n, tuple(nu)), l1,
                 None if keys is None else {idx: coefficients[idx][j] for idx in keys},
                 None if primes is None else _SatakeView(n, roots, j, primes),
             )
@@ -211,7 +211,7 @@ class _SatakeView(Mapping):
     def __getitem__(self, p):
         if p not in self._primes:
             raise KeyError(p)
-        return SatakeParameter(self._n, self._roots(p)[self._j])
+        return SatakeParameter._unchecked(self._n, tuple(self._roots(p)[self._j]))
 
     def __contains__(self, p) -> bool:  # a key test forms no roots
         return p in self._primes

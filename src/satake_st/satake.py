@@ -8,6 +8,7 @@ region are tolerance-based membership tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -49,6 +50,14 @@ class SatakeParameter:
                 f"eigenvalue product {prod} deviates from 1 beyond 1e-12; "
                 "build parameters through canonicalize()"
             )
+
+    @classmethod
+    def _unchecked(cls, n: int, alphas: tuple[complex, ...]) -> "SatakeParameter":
+        """The parameter of a tuple of n Python complexes known to have product 1, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)  # as the dataclass __init__ sets fields: no instance dict is formed
+        object.__setattr__(self, "alphas", alphas)
+        return self
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.alphas, dtype=np.complex128)
@@ -119,11 +128,15 @@ def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
 
 
 def coefficient(x: SatakeParameter, idx: CoefficientIndex) -> complex:
-    """Prime-power Fourier coefficient: the character at aleph(idx), whose positive parts are the
-    positive partial sums of idx.l, largest first; x has N nonzero entries, as _schur needs."""
+    """Prime-power Fourier coefficient: the character at aleph(idx), whose positive parts are the positive
+    partial sums of idx.l, largest first; x has N nonzero entries, as _schur needs; an overflow raises ValueError."""
     if idx.n != x.n:
         raise ValueError(f"rank mismatch: index N={idx.n}, parameter N={x.n}")
-    return complex(_schur(x.as_array(), [[v for v in accumulate(idx.l) if v > 0][::-1]])[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        value = complex(_schur(x.as_array(), [[v for v in accumulate(idx.l) if v > 0][::-1]])[0])
+    if not cmath.isfinite(value):
+        raise ValueError(f"coefficient at N={x.n}, l={idx.l} is not finite: {value}")
+    return value
 
 
 def varrho(x: SatakeParameter) -> tuple[complex, ...]:

@@ -132,6 +132,14 @@ class SpectralParameter:
     def __post_init__(self):
         _store(self, "nu", complex, _check_rank(self.n) - 1)
 
+    @classmethod
+    def _unchecked(cls, n: int, nu: tuple[complex, ...]) -> "SpectralParameter":
+        """The parameter of a tuple of n - 1 Python complexes, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)  # as the dataclass __init__ sets fields: no instance dict is formed
+        object.__setattr__(self, "nu", nu)
+        return self
+
 
 def aleph(idx: CoefficientIndex) -> DominantWeight:
     """Bijection from coefficient indices onto dominant weights.

@@ -429,6 +429,15 @@ class TestEvalChar:
                 a = random_torus_point(n, rng)
                 assert abs(eval_char(mu, a) - eval_char_bialternant(mu, a)) < 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_identity_values_are_exact_dimensions_up_to_2x2(self, n):
+        # a Jacobi-Trudi matrix of at most 2 x 2 is read or expanded, with no division
+        shapes = [parts + (0,) for parts in itertools.combinations_with_replacement(range(6, -1, -1), n - 1)]
+        mus = [DominantWeight(n, p) for p in shapes if sum(p) <= 6 and min(p[0], n - p.count(0)) <= 2]
+        assert len(mus) > 5
+        for mu in mus:
+            assert eval_char(mu, np.ones(n)) == dim(mu), mu.parts
+
     def test_finite_at_coincident_eigenvalues(self):
         a = np.array([1j, 1j, -1.0])  # product 1, repeated entry
         got = eval_char(DominantWeight(3, (2, 1, 0)), a)
@@ -464,7 +473,8 @@ class TestEvalChar:
         assert np.max(np.abs(eval_char(mu, batch) - want) / np.abs(want)) < 1e-9
 
     @pytest.mark.parametrize(
-        "n, parts", [(3, (2, 1, 0)), (3, (5, 3, 0)), (4, (3, 2, 1, 0)), (5, (4, 2, 2, 1, 0))]
+        "n, parts",
+        [(3, (2, 1, 0)), (3, (5, 3, 0)), (4, (3, 2, 1, 0)), (5, (4, 2, 2, 1, 0)), (4, (3, 3, 3, 0)), (4, (3, 1, 1, 0))],
     )
     def test_rows_off_su_n_keep_the_e_n_term(self, n, parts):
         mu = DominantWeight(n, parts)
@@ -492,7 +502,7 @@ class TestShapeIndependence:
         # moves the last bits (numpy's .sum adds a 1-D row of four or more pairwise)
         rng = np.random.default_rng(43)
         batch = np.exp(rng.normal(scale=0.05, size=(300, n)) + 1j * rng.uniform(0, 2 * np.pi, size=(300, n)))
-        lams = [lam for lam in ([80], [40, 40], [3, 2, 1]) if len(lam) <= n]
+        lams = [lam for lam in ([80], [40, 40], [3, 2, 1], [1, 1, 1], [2, 1, 1], [2, 2]) if len(lam) <= n]
         mus = [DominantWeight(n, tuple(lam) + (0,) * (n - len(lam))) for lam in lams if len(lam) < n]
         together = np.stack(_schur(batch, lams), axis=-1)
         chars = np.stack([eval_char(mu, batch) for mu in mus], axis=-1)

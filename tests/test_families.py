@@ -746,6 +746,13 @@ class TestLazyMemberRoots:
         assert fam.members == eager and eager == fam.members
         assert same_bits(Family(fam.n, fam.members, fam.label), fam)
 
+    def test_unchecked_member_values_hold_what_the_checked_constructors_store(self):
+        fam = synth_family(3, 5, primes=(2,), seed=33)
+        for mem in fam.members:
+            nu, x = mem.nu, mem.satake[2]
+            assert nu == SpectralParameter(3, nu.nu) and x == SatakeParameter(3, x.alphas)
+            assert all(type(t) is tuple and all(type(v) is complex for v in t) for t in (nu.nu, x.alphas))
+
     def test_a_view_is_a_read_only_mapping_that_shows_its_parameters(self):
         fam = synth_family(3, 2, primes=(2, 3), seed=32)
         mem, eager = fam.members[0], eager_members(fam)[0]

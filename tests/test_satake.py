@@ -1,5 +1,7 @@
 """Canonical Satake parameters, coefficient map, and identity checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,14 @@ class TestCoefficient:
                 a_k = coefficient(x, CoefficientIndex.unit(n, n - k))
                 a_nk = coefficient(x, CoefficientIndex.unit(n, k))
                 assert abs(a_k - np.conj(a_nk)) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, l", [(3, (1000, 0)), (4, (300, 300, 300))], ids=["entry", "lapack"])
+    def test_an_overflowing_value_raises_with_no_warning(self, n, l):
+        z = [1.9, 1.9j, 0.7][: n - 1]
+        x = canonicalize(z + [1 / np.prod(z)])
+        with pytest.raises(ValueError, match=re.escape(f"coefficient at N={n}, l={l} is not finite")):
+            coefficient(x, CoefficientIndex(n, l))
 
 
 class TestVarrho:
