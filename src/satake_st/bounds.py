@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
-from .families import Family, TestFunctionH, equidist_report
+from .families import Family, TestFunctionH, _is_prime, equidist_report
 
 __all__ = [
     "Gl3BoundParams",
@@ -40,6 +40,8 @@ class Gl3BoundParams:
     eps: float = 1e-6
 
     def __post_init__(self):
+        if not (type(self.p) is int and _is_prime(self.p)):
+            raise ValueError(f"p must be a prime Python integer, got {self.p!r}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:

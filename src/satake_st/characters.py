@@ -21,7 +21,7 @@ from operator import add, eq, ge, neg
 
 import numpy as np
 
-from .weights import DominantWeight, _check_rank, _exact, _store
+from .weights import DominantWeight, _check_rank, _exact, _store, _unchecked
 
 __all__ = [
     "CharacterTable",
@@ -120,7 +120,10 @@ class TensorSpec:
         not read. A factor is |e_k|^(2 min(i_k, i'_k)) times (e_k or its conjugate)^|i_k - i'_k|, by repeated
         squaring; the product starts from the first factor, not from a multiplication by 1. Unlike ``_schur``, it
         is not batch-independent: numpy's complex multiply rounds differently on short and long arrays, so a row
-        taken out of its bank need not keep its bits; an estimate is a function of (spec, N, m, seed)."""
+        taken out of its bank need not keep its bits; an estimate is a function of (spec, N, m, seed). Rows of
+        eigenvalues (width N) raise: take their e-rows first."""
+        if e.shape[-1] != self.n - 1:
+            raise ValueError(f"expected e-rows of width {self.n - 1}, got width {e.shape[-1]}")
         rows = e.reshape(-1, e.shape[-1])  # a view of a 2-D e
         factors = self._factors(rows)
         out = next(factors, None)
@@ -293,7 +296,7 @@ def tensor_decompose(
                         nu = tuple(map(add, lam, shift))
                         out[nu] = out.get(nu, 0) + c
             current = out
-    return {DominantWeight._unchecked(n, lam): c for lam, c in current.items()}
+    return {_unchecked(DominantWeight, n, lam): c for lam, c in current.items()}
 
 
 def _strip_table(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -379,12 +382,17 @@ def eval_char(mu: DominantWeight, alphas) -> np.ndarray:
     of shape (...).  The smaller Jacobi-Trudi determinant (``_schur``); e_N is
     the product of the eigenvalues, so values off SU(N) are right too.
     """
+    return _schur(_eigenvalue_rows(alphas, mu.n), [[p for p in mu.parts if p > 0]])[0]
+
+
+def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
+    """alphas as complex rows (..., n) with no zero entry, as a character value needs."""
     arr = np.asarray(alphas, dtype=np.complex128)
-    if arr.shape[-1] != mu.n:
-        raise ValueError(f"expected last axis of length {mu.n}, got shape {arr.shape}")
+    if arr.shape[-1] != n:
+        raise ValueError(f"expected last axis of length {n}, got shape {arr.shape}")
     if not arr.all():
         raise ValueError("zero eigenvalue in character evaluation")
-    return _schur(arr, [[p for p in mu.parts if p > 0]])[0]
+    return arr
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from .characters import TensorSpec, _schur, trivial_multiplicity
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, _canonical_roots, _haar_su_varrho, perturb_radial
-from .weights import CoefficientIndex, SpectralParameter, aleph, laplace_eigenvalue, laplace_eigenvalues
+from .weights import CoefficientIndex, SpectralParameter, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues
 
 __all__ = [
     "TestFunctionH",
@@ -134,7 +134,10 @@ class FamilyMember:
     satake: Mapping | None = None  # prime -> SatakeParameter
 
     def __post_init__(self):
-        c0 = None if self.coefficients is None else self.coefficients.get(CoefficientIndex.zero(self.nu.n))
+        c0 = None
+        if self.coefficients is not None:
+            n = self.nu.n  # checked when nu was built, so the zero index needs no check
+            c0 = self.coefficients.get(_unchecked(CoefficientIndex, n, (0,) * (n - 1)))
         _check_member(self.l1_adjoint, c0)
 
 
@@ -191,7 +194,7 @@ class Family:
         coefficients = {idx: v.tolist() for idx, v in self.coefficients.items()}
         return tuple(
             FamilyMember(
-                SpectralParameter._unchecked(n, tuple(nu)), l1,
+                _unchecked(SpectralParameter, n, tuple(nu)), l1,
                 None if keys is None else {idx: coefficients[idx][j] for idx in keys},
                 None if primes is None else _SatakeView(n, roots, j, primes),
             )
@@ -211,7 +214,7 @@ class _SatakeView(Mapping):
     def __getitem__(self, p):
         if p not in self._primes:
             raise KeyError(p)
-        return SatakeParameter._unchecked(self._n, tuple(self._roots(p)[self._j]))
+        return _unchecked(SatakeParameter, self._n, tuple(self._roots(p)[self._j]))
 
     def __contains__(self, p) -> bool:  # a key test forms no roots
         return p in self._primes
@@ -295,7 +298,7 @@ def l_functional(
         lacking = np.flatnonzero(np.isnan(rows[:, 0]))
         if lacking.size:
             raise FamilyValidationError(f"member {lacking[0]}: no Satake parameter at p={p}")
-        vals = np.array([f(SatakeParameter(family.n, row)) for row in rows.tolist()], dtype=np.complex128)
+        vals = np.array([f(_unchecked(SatakeParameter, family.n, tuple(row))) for row in rows.tolist()], dtype=np.complex128)
     mean, _ = weighted_stat(vals, weights)
     return mean
 

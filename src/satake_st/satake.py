@@ -15,8 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .characters import _schur, elementary_symmetric, eval_char
-from .weights import CoefficientIndex, DominantWeight, _check_rank, _store
+from .characters import _eigenvalue_rows, _schur, elementary_symmetric
+from .weights import CoefficientIndex, _check_rank, _store
 
 __all__ = [
     "SatakeParameter",
@@ -50,14 +50,6 @@ class SatakeParameter:
                 f"eigenvalue product {prod} deviates from 1 beyond 1e-12; "
                 "build parameters through canonicalize()"
             )
-
-    @classmethod
-    def _unchecked(cls, n: int, alphas: tuple[complex, ...]) -> "SatakeParameter":
-        """The parameter of a tuple of n Python complexes known to have product 1, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)  # as the dataclass __init__ sets fields: no instance dict is formed
-        object.__setattr__(self, "alphas", alphas)
-        return self
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.alphas, dtype=np.complex128)
@@ -154,8 +146,6 @@ def hecke_check_n3(x: SatakeParameter) -> float:
 
 
 def hecke_residuals_n3(alphas: np.ndarray) -> np.ndarray:
-    """Vectorized residuals of the N=3 Hecke identity over rows of (..., 3)."""
-    chi1 = eval_char(DominantWeight(3, (1, 0, 0)), alphas)
-    chi2 = eval_char(DominantWeight(3, (1, 1, 0)), alphas)
-    adj = eval_char(DominantWeight(3, (2, 1, 0)), alphas)
+    """Vectorized residuals of the N=3 Hecke identity over rows of (..., 3), from one ``_schur`` call."""
+    chi1, chi2, adj = _schur(_eigenvalue_rows(alphas, 3), [[1], [1, 1], [2, 1]])
     return np.abs(chi1 * chi2 - adj - 1.0)

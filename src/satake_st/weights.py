@@ -55,6 +55,15 @@ def _store(obj, name: str, kind: type, length: int, noun: str = "entries") -> tu
     return values
 
 
+def _unchecked(cls, n: int, values: tuple):
+    """cls(n, values) with no check, for a value type of a rank and a tuple (its second field) read back from data
+    checked as cls checks it.  Both fields are set as the dataclass __init__ sets them, so no instance dict is formed."""
+    self = object.__new__(cls)
+    object.__setattr__(self, "n", n)
+    object.__setattr__(self, cls.__match_args__[1], values)
+    return self
+
+
 @dataclass(frozen=True)
 class DominantWeight:
     """Highest weight of an SU(N) irreducible: a partition with last part 0."""
@@ -68,14 +77,6 @@ class DominantWeight:
             raise ValueError(f"parts must be non-increasing: {parts}")
         if parts[-1] != 0:
             raise ValueError(f"normalized parts must end in 0: {parts}")
-
-    @classmethod
-    def _unchecked(cls, n: int, parts: tuple[int, ...]) -> "DominantWeight":
-        """The weight of a tuple of n Python ints known to be non-increasing and to end in 0, unchecked."""
-        self = object.__new__(cls)
-        fields = self.__dict__
-        fields["n"], fields["parts"] = n, parts
-        return self
 
     @classmethod
     def zero(cls, n: int) -> "DominantWeight":
@@ -131,14 +132,6 @@ class SpectralParameter:
 
     def __post_init__(self):
         _store(self, "nu", complex, _check_rank(self.n) - 1)
-
-    @classmethod
-    def _unchecked(cls, n: int, nu: tuple[complex, ...]) -> "SpectralParameter":
-        """The parameter of a tuple of n - 1 Python complexes, unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)  # as the dataclass __init__ sets fields: no instance dict is formed
-        object.__setattr__(self, "nu", nu)
-        return self
 
 
 def aleph(idx: CoefficientIndex) -> DominantWeight:

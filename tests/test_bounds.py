@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from satake_st.bounds import (
@@ -72,6 +73,9 @@ class TestEnvelopes:
             Gl3BoundParams(2, (1, 0, 0, 0), theta=0.2)
         with pytest.raises(ValueError):
             Gl3BoundParams(2, (1, 0, 0))
+        for p in (-2, 0, 1, 4, 2.0, True, np.int64(2), "2"):
+            with pytest.raises(ValueError, match=f"^p must be a prime Python integer, got {re.escape(repr(p))}$"):
+                Gl3BoundParams(p, (1, 0, 0, 0))
 
 
 class TestMultiplicityBound:

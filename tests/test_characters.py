@@ -376,6 +376,15 @@ class TestMonomial:
             last = self.spec_with(n, n - 1, ik, ikp)
             assert np.isnan(last.monomial(e)[7])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_of_other_than_n_minus_1_entries_raise(self, n):
+        # an eigenvalue row (width N) is not read as an e-row, and a narrow row is no IndexError
+        spec = self.spec_with(n, 1, 1, 0)
+        for width in (n - 2, n):
+            for e in (np.ones((4, width), dtype=np.complex128), np.ones(width, dtype=np.complex128)):
+                with pytest.raises(ValueError, match=f"^expected e-rows of width {n - 1}, got width {width}$"):
+                    spec.monomial(e)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_an_unused_nan_column_is_not_read(self, n):
         # the family statistic's contract: NaN stands for a missing A[k], and only used columns count

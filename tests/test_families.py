@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from satake_st import families
 from satake_st.bounds import Gl3BoundParams, rate_report
-from satake_st.characters import TensorSpec, eval_char
+from satake_st.characters import TensorSpec, eval_char, tensor_decompose
 from satake_st.families import (
     MAX_INDEX_DEGREE,
     _is_prime,
@@ -34,7 +35,7 @@ from satake_st.families import (
     weighted_stat,
 )
 from satake_st.satake import SatakeParameter, canonicalize, coefficient, elementary_symmetric, in_T1
-from satake_st.weights import CoefficientIndex, SpectralParameter, aleph
+from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _unchecked, aleph
 
 from oracles import eval_char_bialternant, family_from_dict_per_member
 
@@ -752,6 +753,30 @@ class TestLazyMemberRoots:
             nu, x = mem.nu, mem.satake[2]
             assert nu == SpectralParameter(3, nu.nu) and x == SatakeParameter(3, x.alphas)
             assert all(type(t) is tuple and all(type(v) is complex for v in t) for t in (nu.nu, x.alphas))
+        for cls, values in [
+            (CoefficientIndex, (2, 0)), (SpectralParameter, nu.nu), (SatakeParameter, x.alphas), (DominantWeight, (2, 1, 0)),
+        ]:
+            value, checked = _unchecked(cls, 3, values), cls(3, values)
+            assert type(value) is cls and value == checked and hash(value) == hash(checked) and repr(value) == repr(checked)
+
+    def test_values_read_back_from_checked_rows_are_not_checked_again(self, monkeypatch):
+        loaded, synthetic = load_family(GOLDEN), synth_family(3, 20, primes=(2,), seed=34)
+        nu, coefficients = SpectralParameter(3, (1j, 2j)), {CoefficientIndex(3, (0, 0)): 1.0, CoefficientIndex(3, (1, 0)): 0.5}
+        spec = TensorSpec(4, (2, 1, 1, 0, 0, 1))
+        checks = Counter()
+        for cls in (CoefficientIndex, SpectralParameter, SatakeParameter, DominantWeight):
+            def counted(self, check=cls.__post_init__):
+                checks[type(self).__name__] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        FamilyMember(nu, 1.0, coefficients)
+        members = loaded.members
+        assert any(mem.coefficients for mem in members)
+        assert sum(len([mem.satake[p] for p in mem.satake]) for mem in members if mem.satake) > 0
+        l_functional(synthetic, 2, lambda x: x.alphas[0], TestFunctionH.gaussian(), 10.0)
+        assert tensor_decompose(spec)
+        assert checks == Counter()
 
     def test_a_view_is_a_read_only_mapping_that_shows_its_parameters(self):
         fam = synth_family(3, 2, primes=(2, 3), seed=32)

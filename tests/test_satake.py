@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satake_st.characters import eval_char
 from satake_st.satake import (
     SatakeParameter,
     canonicalize,
@@ -20,7 +21,7 @@ from satake_st.satake import (
     varrho,
 )
 from satake_st.sampling import RngSeed, perturb_radial, sample_st_batch
-from satake_st.weights import CoefficientIndex
+from satake_st.weights import CoefficientIndex, DominantWeight
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -248,3 +249,23 @@ class TestHeckeIdentity:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             hecke_check_n3(canonicalize([1j, -1j]))
+
+    def test_residuals_have_the_bits_of_three_character_values(self):
+        # one _schur call for the three characters, against a separate eval_char call for each
+        def by_eval_char(rows):
+            chi1 = eval_char(DominantWeight(3, (1, 0, 0)), rows)
+            chi2 = eval_char(DominantWeight(3, (1, 1, 0)), rows)
+            adj = eval_char(DominantWeight(3, (2, 1, 0)), rows)
+            return np.abs(chi1 * chi2 - adj - 1.0)
+
+        rng = RngSeed(25).generator()
+        t0 = sample_st_batch(3, 10_000, rng)
+        banks = [t0] + [perturb_radial(sample_st_batch(3, 1_000, rng), p, rng) for p in (2, 3, 5)] + [t0[0]]
+        for rows in banks:
+            assert hecke_residuals_n3(rows).tobytes() == by_eval_char(rows).tobytes()
+
+    def test_rejects_a_wrong_width_or_a_zero_entry_as_eval_char_does(self):
+        with pytest.raises(ValueError, match=re.escape("expected last axis of length 3, got shape (2, 4)")):
+            hecke_residuals_n3(np.ones((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="^zero eigenvalue in character evaluation$"):
+            hecke_residuals_n3(np.array([[1.0, 0.0, 1.0]]))
