@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
-from .families import Family, TestFunctionH, _is_prime, equidist_report
+from .families import Family, TestFunctionH, equidist_report
+from .weights import _check_prime, _check_scale
 
 __all__ = [
     "Gl3BoundParams",
@@ -40,8 +41,7 @@ class Gl3BoundParams:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not (type(self.p) is int and _is_prime(self.p)):
-            raise ValueError(f"p must be a prime Python integer, got {self.p!r}")
+        _check_prime(self.p)
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.theta <= THETA_DEFAULT:
@@ -64,7 +64,8 @@ def orthogonality_error(t: float, p_big: float, theta: float, eps: float) -> flo
 
 
 def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float:
-    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps."""
+    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at a finite scale T >= 1."""
+    _check_scale(t)
     core = t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0)
     return core * t ** (-5.0 + eps) * p_big**eps
 
@@ -133,10 +134,7 @@ def rate_report(
     """Envelope of the rate bound across a scale grid, with measured
     deviations |L_T - a_0| when a family with N=3 data is supplied."""
     p_big = p_total(params)
-    ts = [float(t) for t in t_grid]
-    for t in ts:
-        if not 1 <= t < math.inf:
-            raise ValueError(f"scale must be finite and >= 1, got {t}")
+    ts = [_check_scale(float(t)) for t in t_grid]
     measured = [None] * len(ts)
     if family is not None:
         rows = equidist_report(family, params.p, [params.spec()], h or TestFunctionH.gaussian(), ts)

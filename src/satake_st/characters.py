@@ -388,7 +388,7 @@ def eval_char(mu: DominantWeight, alphas) -> np.ndarray:
 def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
     """alphas as complex rows (..., n) with no zero entry, as a character value needs."""
     arr = np.asarray(alphas, dtype=np.complex128)
-    if arr.shape[-1] != n:
+    if arr.shape[-1:] != (n,):
         raise ValueError(f"expected last axis of length {n}, got shape {arr.shape}")
     if not arr.all():
         raise ValueError("zero eigenvalue in character evaluation")
@@ -396,7 +396,9 @@ def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
 
 
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
-    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|)."""
+    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|), for p > 1."""
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p!r}")
     return _weighted_part_sum(_dominant_coefficients(spec), p, alpha)
 
 
@@ -418,8 +420,10 @@ def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float)
 
 
 def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
-    """(p^alpha + 1 + p^{-alpha})^(total degree); closed-form bound, N=3 only."""
+    """(p^alpha + 1 + p^{-alpha})^(total degree) for p > 1; closed-form bound, N=3 only."""
     if spec.n != 3:
         raise ValueError(f"closed-form bound requires N=3, got N={spec.n}")
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p!r}")
     x = float(p) ** alpha
     return (x + 1.0 + 1.0 / x) ** spec.degree

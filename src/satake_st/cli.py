@@ -68,10 +68,6 @@ def _emit(rows: list[dict], fieldnames: list[str], out: str, fmt: str, extra: di
 
 
 SEED = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-WORKERS = click.option(
-    "--workers", default=1, show_default=True, type=click.IntRange(min=1),
-    help="Accepted for compatibility; does not change the draws.",
-)
 BUDGET = click.option(
     "--budget", default=characters.DEFAULT_TERM_BUDGET, show_default=True, type=click.IntRange(min=1000),
     help="Most candidate strips all Pieri steps together may try (partitions x C(N,k), summed).",
@@ -79,7 +75,7 @@ BUDGET = click.option(
 
 
 def _flags(*shared):
-    """--out, --format and the shared flags (SEED, WORKERS, BUDGET) a command takes."""
+    """--out, --format and the shared flags (SEED, BUDGET) a command takes."""
 
     def decorate(fn):
         for flag in (
@@ -138,12 +134,12 @@ def decompose(n, spec_text, out, fmt, budget):
 @click.option("--n", required=True, type=int)
 @click.option("--spec", "spec_text", required=True)
 @click.option("--m", default=100_000, show_default=True, type=int)
-@_flags(SEED, WORKERS, BUDGET)
-def moment(n, spec_text, m, out, fmt, seed, workers, budget):
+@_flags(SEED, BUDGET)
+def moment(n, spec_text, m, out, fmt, seed, budget):
     """Monte Carlo moment of a character monomial against its exact value."""
     spec = TensorSpec(n, tuple(_parse_list(spec_text, int)))
     oracle = trivial_multiplicity(spec, budget)
-    est = mc_integrate(char_monomial(spec), n, m, seed, workers)
+    est = mc_integrate(char_monomial(spec), n, m, seed)
     row = {
         "n": n,
         "spec": spec_text,
@@ -161,8 +157,8 @@ def moment(n, spec_text, m, out, fmt, seed, workers, budget):
 @click.option("--n", required=True, type=int)
 @click.option("--m", default=100_000, show_default=True, type=int)
 @click.option("--bins", default=50, show_default=True, type=int)
-@_flags(SEED, WORKERS)
-def sample(n, m, bins, out, fmt, seed, workers):
+@_flags(SEED)
+def sample(n, m, bins, out, fmt, seed):
     """Histogram of Re(chi_1) under the class measure (semicircle for N=2)."""
     values = np.real(varrho_bank(n, m, seed)[:, 0])
     lo, hi = (-2.0, 2.0) if n == 2 else (float(values.min()), float(values.max()))
@@ -263,8 +259,8 @@ def bound(mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, o
 @click.option("--m", default=10_000, show_default=True, type=int)
 @click.option("--p", "p_text", default="2,3,5", show_default=True, help="Comma list of primes.")
 @click.option("--tol", default=HECKE_TOL, show_default=True, type=float)
-@_flags(SEED, WORKERS)
-def hecke(n, m, p_text, tol, out, fmt, seed, workers):
+@_flags(SEED)
+def hecke(n, m, p_text, tol, out, fmt, seed):
     """Residual sweep of the degree-2 identity on random unit-torus and
     bounded-region points."""
     if n != 3:

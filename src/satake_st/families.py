@@ -32,7 +32,9 @@ import numpy as np
 from .characters import TensorSpec, _schur, trivial_multiplicity
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, _canonical_roots, _haar_su_varrho, perturb_radial
-from .weights import CoefficientIndex, SpectralParameter, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues
+from .weights import (
+    CoefficientIndex, SpectralParameter, _check_scale, _is_prime, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues,
+)
 
 __all__ = [
     "TestFunctionH",
@@ -102,8 +104,7 @@ class TestFunctionH:
 
     def evaluate(self, lam: np.ndarray, t: float) -> np.ndarray:
         """The function at a finite scale t >= 1 on an array of Re lambda(nu)."""
-        if not 1 <= t < math.inf:
-            raise ValueError(f"scale must be finite and >= 1, got {t}")
+        _check_scale(t)
         if self.kind == "gaussian":
             return np.exp(-lam / (t * t))
         if self.kind == "indicator":
@@ -135,7 +136,7 @@ class FamilyMember:
 
     def __post_init__(self):
         c0 = None
-        if self.coefficients is not None:
+        if self.coefficients is not None and isinstance(self.nu, SpectralParameter):  # else Family rejects nu
             n = self.nu.n  # checked when nu was built, so the zero index needs no check
             c0 = self.coefficients.get(_unchecked(CoefficientIndex, n, (0,) * (n - 1)))
         _check_member(self.l1_adjoint, c0)
@@ -408,29 +409,6 @@ _TOP_KEYS = {"N", "label", "members"}
 # A JSON true/false is a Python bool, hence an int, and is rejected separately.
 _MEMBER_KEYS = {"nu": list, "L1Ad": (int, float, str), "coefficients": dict, "satake": dict}
 _JSON_NUMBERS = (float, int)  # the types json gives numbers; a subclass takes the longer check
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the first thirteen primes as bases, exact below 3.3e24
-    (Sorenson-Webster); trial division would take minutes on a 19-digit prime."""
-    if p < 2 or any(p % a == 0 for a in _WITNESSES):
-        return p in _WITNESSES
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, p)
-        for _ in range(s):
-            y = x * x % p
-            if y == 1 and x not in (1, p - 1):
-                return False
-            x = y
-        if x != 1:
-            return False
-    return True
 
 
 def _check_header(n, label: str = "") -> None:

@@ -10,8 +10,7 @@ complex multiply with or without FMA.  A draw is the row (e_1, ..., e_{N-1})
 of its coefficients, the paper's varrho coordinates, in which class functions are polynomials;
 ``mc_integrate`` integrates these rows and never forms eigenvalues, which
 ``sample_st_batch`` and ``sample_bank`` take as the polynomial's roots.
-A bank is one stream, a pure function of (N, sample count, seed): the same
-seed gives the same draws whatever the worker count.  It is a read-only
+A bank is one stream, a pure function of (N, sample count, seed).  It is a read-only
 column-major (m, N-1) array, written column by column by the Szego recursion,
 so an integrand reads each e_k as one contiguous column.
 """
@@ -26,7 +25,7 @@ import numpy as np
 
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .characters import TensorSpec
-from .weights import _check_rank
+from .weights import _check_prime, _check_rank
 
 __all__ = [
     "RngSeed",
@@ -167,19 +166,16 @@ def sample_bank(n: int, m: int, seed: int) -> np.ndarray:
     return _canonical_roots(varrho_bank(n, m, seed))
 
 
-def mc_integrate(f, n: int, m: int, seed: int, workers: int = 1) -> McEstimate:
+def mc_integrate(f, n: int, m: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the conjugacy-class integral of f.
 
     f is applied to the read-only column-major (m, n-1) bank ``varrho_bank(n, m, seed)``
     of rows (e_1, ..., e_{n-1}), the varrho coordinates of the draws, not to eigenvalues
-    (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``.
-    m >= 2; ``workers`` (>= 1) is accepted for compatibility and changes nothing.
+    (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``; m >= 2.
     The estimate's bits are a function of (f, n, m, seed); a row's monomial out of its bank need not keep its bits.
     """
     if m < 2:
         raise ValueError("need at least 2 samples")
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
     vals = np.asarray(f(varrho_bank(n, m, seed)), dtype=np.complex128)
     if vals.shape != (m,):
         raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")
@@ -220,7 +216,7 @@ def st_cdf_gl2(x) -> np.ndarray:
 
 def plancherel_density_gl2(x: float, p: int) -> float:
     """Vertical unweighted density (p+1)/((p^{1/2}+p^{-1/2})^2 - x^2) d(semicircle)."""
-    edge = math.sqrt(p) + 1.0 / math.sqrt(p)
+    edge = math.sqrt(_check_prime(p)) + 1.0 / math.sqrt(p)
     if abs(x) >= edge:
         raise ValueError(f"|x| must be < p^{{1/2}} + p^{{-1/2}} = {edge:.6g}")
     return (p + 1) / (edge * edge - x * x) * st_density_gl2(x)

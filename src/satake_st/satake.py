@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .characters import _eigenvalue_rows, _schur, elementary_symmetric
-from .weights import CoefficientIndex, _check_rank, _store
+from .weights import CoefficientIndex, _check_prime, _check_rank, _store
 
 __all__ = [
     "SatakeParameter",
@@ -102,8 +102,8 @@ def canonicalize(raw) -> SatakeParameter:
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat eigenvalue tuple, got shape {arr.shape}")
-    fixed = canonicalize_batch(arr)
-    return SatakeParameter(arr.shape[0], tuple(fixed))
+    n = _check_rank(arr.shape[0])
+    return SatakeParameter(n, tuple(canonicalize_batch(arr)))
 
 
 def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
@@ -115,7 +115,7 @@ def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
 def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
     """True iff every |alpha_i| <= p^{1/2} (or the refined exponent)."""
     exponent = 0.5 - (1.0 / (x.n**2 + 1) if refined else 0.0)
-    bound = float(p) ** exponent
+    bound = float(_check_prime(p)) ** exponent
     return bool(np.all(np.abs(x.as_array()) <= bound))
 
 

@@ -33,6 +33,43 @@ def _check_rank(n: int) -> int:
     return n
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first thirteen primes as bases, exact below 3.3e24
+    (Sorenson-Webster); trial division would take minutes on a 19-digit prime."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        for _ in range(s):
+            y = x * x % p
+            if y == 1 and x not in (1, p - 1):
+                return False
+            x = y
+        if x != 1:
+            return False
+    return True
+
+
+def _check_prime(p: int) -> int:
+    """The prime p, once checked to be a Python int (not a bool) that is prime."""
+    if not (type(p) is int and _is_prime(p)):
+        raise ValueError(f"p must be a prime Python integer, got {p!r}")
+    return p
+
+
+def _check_scale(t: float) -> float:
+    """The scale t, once checked to be finite and >= 1; a NaN fails."""
+    if not 1 <= t < np.inf:
+        raise ValueError(f"scale must be finite and >= 1, got {t}")
+    return t
+
+
 def _exact(raw: tuple, kind: type) -> tuple | None:
     """raw as a tuple of Python ints or complexes, or None if an entry does not convert or, for int, is not equal to its int."""
     try:

@@ -233,8 +233,7 @@ class TestIngest:
 class TestDeterminism:
     def test_moment_outputs_identical(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["moment", "--n", "2", "--spec", "1,1", "--m", "5000", "--seed", "21",
-                "--workers", "2"]
+        args = ["moment", "--n", "2", "--spec", "1,1", "--m", "5000", "--seed", "21"]
         assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
         assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -510,7 +509,7 @@ class TestErrorBoundary:
             ["moment", "--n", "abc", "--spec", "1"],
             ["decompose", "--n", "3", "--spec", "1,1,0,0", "--format", "xml"],
             ["ingest", "no-such-family.json"],
-            ["moment", "--n", "2", "--spec", "1,1", "--workers", "0"],
+            ["moment", "--n", "2", "--spec", "1,1", "--seed", "-1"],
             ["bound", "--budget", "10"],
             ["no-such-command"],
             ["--bogus", "decompose", "--n", "3", "--spec", "1,1,0,0"],
@@ -551,15 +550,15 @@ class TestErrorBoundary:
         assert assert_json_error(result)["type"] == "FileNotFoundError"
 
     def test_commands_declare_only_the_shared_flags_they_read(self):
-        shared = {"seed", "workers", "budget"}
+        shared = {"seed", "budget"}
         declared = {name: shared & {p.name for p in cmd.params} for name, cmd in cli.commands.items()}
         assert declared == {
             "decompose": {"budget"},
-            "moment": {"seed", "workers", "budget"},
-            "sample": {"seed", "workers"},
+            "moment": {"seed", "budget"},
+            "sample": {"seed"},
             "equidist": {"seed"},
             "bound": set(),
-            "hecke": {"seed", "workers"},
+            "hecke": {"seed"},
             "ingest": set(),
         }
         assert all({"out", "fmt"} <= {p.name for p in cmd.params} for cmd in cli.commands.values())

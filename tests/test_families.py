@@ -220,6 +220,7 @@ def _faulty_members():
         "tuple coefficient key": FamilyMember(NU0, 1.0, {(1, 0): 0.5}),
         "tuple Satake parameter": FamilyMember(NU0, 1.0, None, {2: (1, 1, 1)}),
         "tuple nu": FamilyMember((1j, 1j), 1.0),
+        "tuple nu with coefficients": FamilyMember((1j, 1j), 1.0, {a10: 0.5}),
     }
 
 

@@ -1,5 +1,6 @@
-"""Fuzzed inputs: every CLI run ends in output or the JSON error object, and
-the family loader lets only FamilyValidationError escape."""
+"""Fuzzed inputs: every CLI run ends in output or the JSON error object, the
+family loader lets only FamilyValidationError escape, and an out-of-domain
+argument to the Python API ends in ValueError."""
 
 import json
 import math
@@ -10,8 +11,13 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from satake_st.bounds import convergence_error
+from satake_st.characters import TensorSpec, dominant_part_sum, eval_char, specialization_bound_n3
 from satake_st.cli import cli
 from satake_st.families import Family, FamilyValidationError, family_from_dict, family_to_dict, save_family, synth_family
+from satake_st.sampling import plancherel_density_gl2
+from satake_st.satake import canonicalize, in_T1
+from satake_st.weights import DominantWeight
 
 JUNK = ["", "abc", "nan", "inf", "-inf", ",", "1,,2", "-1", "0", "1.5", "1e3", "--"]
 UNWRITABLE = os.path.join(os.devnull, "x.csv")  # a path under a file cannot be opened
@@ -49,7 +55,6 @@ FLAGS = {
     "--tol": floats(-1, 1),
     "--synth-size": ints(-1, 200),
     "--seed": ints(-1, 5),
-    "--workers": ints(-1, 3),
     "--budget": ints(0, 2000),
     "--format": st.sampled_from(["csv", "json", "xml"]),
     "--out": st.sampled_from(["-", UNWRITABLE]),  # never junk: a junk path would be written to
@@ -57,11 +62,11 @@ FLAGS = {
 
 COMMANDS = {
     "decompose": ["--n", "--spec", "--budget", "--format", "--out"],
-    "moment": ["--n", "--spec", "--m", "--seed", "--workers", "--budget", "--format", "--out"],
-    "sample": ["--n", "--m", "--bins", "--seed", "--workers", "--format", "--out"],
+    "moment": ["--n", "--spec", "--m", "--seed", "--budget", "--format", "--out"],
+    "sample": ["--n", "--m", "--bins", "--seed", "--format", "--out"],
     "equidist": ["--n", "--p", "--synth-size", "--max-degree", "--t-grid", "--seed", "--format", "--out"],
     "bound": ["--p", "--alpha", "--max-degree", "--spec", "--t-grid", "--theta", "--eps", "--format", "--out"],
-    "hecke": ["--n", "--m", "--p", "--tol", "--seed", "--workers", "--format", "--out"],
+    "hecke": ["--n", "--m", "--p", "--tol", "--seed", "--format", "--out"],
     "ingest": ["--format", "--out", "--seed"],
 }
 
@@ -150,3 +155,24 @@ def test_family_loader_raises_only_validation_errors(doc):
         return
     assert isinstance(fam, Family)
     assert all(math.isfinite(mem.l1_adjoint) and mem.l1_adjoint > 0 for mem in fam.members)
+
+
+SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
+OUT_OF_DOMAIN = {
+    "in_T1 at p=-1": lambda: in_T1(canonicalize([1, 1j, -1j]), -1),
+    "plancherel at p=0": lambda: plancherel_density_gl2(0.1, 0),
+    "specialization bound at p=0": lambda: specialization_bound_n3(SPEC_N3, 0, 1),
+    "specialization bound at p=1": lambda: specialization_bound_n3(SPEC_N3, 1, 1),
+    "dominant part sum at p=0": lambda: dominant_part_sum(SPEC_N3, 0, 1),
+    "dominant part sum at p=1": lambda: dominant_part_sum(SPEC_N3, 1, 1),
+    "convergence error at t=0": lambda: convergence_error(0, 1, 0.1, 1e-6),
+    "canonicalize of no entries": lambda: canonicalize(()),
+    "eval_char of no eigenvalue axis": lambda: eval_char(DominantWeight(3, (1, 0, 0)), None),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN)
+def test_out_of_domain_argument_raises_value_error(call):
+    """Never a ZeroDivisionError, an IndexError, or a value returned silently."""
+    with pytest.raises(ValueError):
+        call()
