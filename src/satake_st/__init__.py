@@ -5,7 +5,6 @@ from .weights import (
     DominantWeight,
     SpectralParameter,
     aleph,
-    aleph_inv,
     langlands,
     laplace_eigenvalue,
 )
@@ -14,7 +13,6 @@ from .characters import (
     TensorSpec,
     TermBudgetExceeded,
     dim,
-    dominant_part_sum,
     eval_char,
     product,
     specialization_bound_n3,
@@ -26,9 +24,6 @@ from .satake import (
     SatakeParameter,
     canonicalize,
     coefficient,
-    hecke_check_n3,
-    in_T0,
-    in_T1,
     varrho,
 )
 from .sampling import (
@@ -37,7 +32,6 @@ from .sampling import (
     char_monomial,
     mc_integrate,
     plancherel_density_gl2,
-    sample_st,
     st_density_gl2,
 )
 from .families import (
@@ -46,7 +40,6 @@ from .families import (
     FamilyValidationError,
     TestFunctionH,
     equidist_report,
-    h_eval,
     l_functional,
     load_family,
     save_family,
@@ -56,7 +49,6 @@ from .families import (
 from .bounds import (
     Gl3BoundParams,
     convergence_error,
-    orthogonality_error,
     p_total,
     rate_report,
     verify_multiplicity_bound,

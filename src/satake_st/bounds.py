@@ -19,7 +19,6 @@ __all__ = [
     "Gl3BoundParams",
     "THETA_DEFAULT",
     "p_total",
-    "orthogonality_error",
     "convergence_error",
     "verify_multiplicity_bound",
     "verify_multiplicity_bounds",
@@ -57,12 +56,6 @@ def p_total(params: Gl3BoundParams) -> float:
     return float(params.p) ** sum(params.exponents)
 
 
-def orthogonality_error(t: float, p_big: float, theta: float, eps: float) -> float:
-    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * (T P)^eps."""
-    core = t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0)
-    return core * (t * p_big) ** eps
-
-
 def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float:
     """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at a finite scale T >= 1."""
     _check_scale(t)
@@ -93,6 +86,8 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
     """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
     out, table = [], None
     for p, alpha in pairs:
+        if not p > 1:
+            raise ValueError(f"p must be > 1, got {p!r}")
         if not math.isfinite(alpha):
             raise ValueError(f"alpha must be finite, got {alpha}")
         try:  # the sweep's largest value: the closed bound at max_degree, as specialization_bound_n3 forms it

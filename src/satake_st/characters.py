@@ -35,7 +35,6 @@ __all__ = [
     "tensor_decompose",
     "trivial_multiplicity",
     "eval_char",
-    "dominant_part_sum",
     "specialization_bound_n3",
 ]
 
@@ -122,8 +121,9 @@ class TensorSpec:
         is not batch-independent: numpy's complex multiply rounds differently on short and long arrays, so a row
         taken out of its bank need not keep its bits; an estimate is a function of (spec, N, m, seed). Rows of
         eigenvalues (width N) raise: take their e-rows first."""
-        if e.shape[-1] != self.n - 1:
-            raise ValueError(f"expected e-rows of width {self.n - 1}, got width {e.shape[-1]}")
+        if e.shape[-1:] != (self.n - 1,):
+            got = f"width {e.shape[-1]}" if e.ndim else f"shape {e.shape}"
+            raise ValueError(f"expected e-rows of width {self.n - 1}, got {got}")
         rows = e.reshape(-1, e.shape[-1])  # a view of a 2-D e
         factors = self._factors(rows)
         out = next(factors, None)
@@ -333,6 +333,8 @@ def _signed_e_row(a: np.ndarray) -> np.ndarray:
 def elementary_symmetric(arr: np.ndarray) -> np.ndarray:
     """e_1..e_{N-1} of (..., N) eigenvalue arrays, vectorized: an array of shape (..., N-1)."""
     a = np.asarray(arr, dtype=np.complex128)
+    if a.ndim == 0:
+        raise ValueError(f"expected eigenvalue rows (..., N), got shape {a.shape}")
     e = _signed_e_row(a)[1 : a.shape[-1]]
     np.negative(e[::2], out=e[::2])  # e_k = (-1)^k row[k]: negate odd k
     return np.moveaxis(e, 0, -1)
@@ -395,19 +397,12 @@ def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
     return arr
 
 
-def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
-    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|), for p > 1."""
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p!r}")
-    return _weighted_part_sum(_dominant_coefficients(spec), p, alpha)
-
-
 def _dominant_coefficients(spec: TensorSpec) -> dict[tuple[int, ...], int]:
     """c_w = sum_lam a_lam K_{lam,w} at each dominant weight w, from the Pieri multiplicities
     and the branching-rule tables; an upper bound for the decomposition multiplicities."""
     coeffs: dict[tuple[int, ...], int] = {}
     for lam, a in tensor_decompose(spec).items():
-        for w, k in weight_table(lam).terms.items():
+        for w, k in _weight_table_terms(spec.n, lam.parts).items():
             if all(map(ge, w, w[1:])):
                 coeffs[w] = coeffs.get(w, 0) + a * k
     return coeffs

@@ -41,7 +41,6 @@ __all__ = [
     "FamilyMember",
     "Family",
     "FamilyValidationError",
-    "h_eval",
     "weight",
     "l_functional",
     "weighted_stat",
@@ -110,11 +109,6 @@ class TestFunctionH:
         if self.kind == "indicator":
             return np.where(lam <= t * t, 1.0, 0.0)
         return np.interp(lam / (t * t), self.xs, self.ys)
-
-
-def h_eval(h: TestFunctionH, nu: SpectralParameter, t: float) -> float:
-    """Evaluate the test function at scale t >= 1."""
-    return float(h.evaluate(laplace_eigenvalue(nu).real, t))
 
 
 def _check_member(l1_adjoint: float, c0: complex | None) -> None:
@@ -232,7 +226,7 @@ class _SatakeView(Mapping):
 
 def weight(member: FamilyMember, h: TestFunctionH, t: float) -> float:
     """Member weight: h_T(nu) / L(1, Ad)."""
-    return h_eval(h, member.nu, t) / member.l1_adjoint
+    return float(h.evaluate(laplace_eigenvalue(member.nu).real, t)) / member.l1_adjoint
 
 
 def weighted_stat(values: np.ndarray, weights: np.ndarray) -> tuple[complex, float]:

@@ -23,14 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
+from .satake import canonicalize_batch, elementary_symmetric
 from .characters import TensorSpec
 from .weights import _check_prime, _check_rank
 
 __all__ = [
     "RngSeed",
     "McEstimate",
-    "sample_st",
     "sample_st_batch",
     "sample_bank",
     "varrho_bank",
@@ -125,12 +124,6 @@ def sample_st_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return _canonical_roots(_haar_su_varrho(n, count, rng))
 
 
-def sample_st(n: int, rng: np.random.Generator) -> SatakeParameter:
-    """One draw from the conjugacy-class measure of SU(n)."""
-    row = sample_st_batch(n, 1, rng)[0]
-    return SatakeParameter(n, tuple(row))
-
-
 def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
     """Canonical rows of unit-torus rows times radial noise staying inside |alpha| <= p^{1/2}; row i
     stays row i.  Per-row log-radii are zero-sum, so products stay at 1; the largest |log_p radius|
@@ -193,10 +186,10 @@ def char_monomial(spec: TensorSpec):
     """prod_k chi_k^{i_k} * conj(chi_k)^{i'_k} on one row or a batch, of eigenvalue rows (width N) or e-rows (N-1)."""
 
     def integrand(rows):
-        width = np.shape(rows)[-1]
-        if width not in (spec.n, spec.n - 1):
-            raise ValueError(f"rows must have width {spec.n} or {spec.n - 1}, got {width}")
-        return spec.monomial(elementary_symmetric(rows) if width == spec.n else np.asarray(rows))
+        width = np.shape(rows)[-1:]
+        if width not in ((spec.n,), (spec.n - 1,)):
+            raise ValueError(f"rows must have width {spec.n} or {spec.n - 1}, got shape {np.shape(rows)}")
+        return spec.monomial(elementary_symmetric(rows) if width == (spec.n,) else np.asarray(rows))
 
     return integrand
 

@@ -2,8 +2,7 @@
 
 A parameter is an N-tuple of nonzero complex numbers with product 1, fixed
 to a deterministic coset representative by sorting on (principal argument
-in [0, 2pi), then modulus).  Temperedness and the known containment
-region are tolerance-based membership tests.
+in [0, 2pi), then modulus).
 """
 
 from __future__ import annotations
@@ -16,17 +15,14 @@ from itertools import accumulate
 import numpy as np
 
 from .characters import _eigenvalue_rows, _schur, elementary_symmetric
-from .weights import CoefficientIndex, _check_prime, _check_rank, _store
+from .weights import CoefficientIndex, _check_rank, _store
 
 __all__ = [
     "SatakeParameter",
     "canonicalize",
     "canonicalize_batch",
-    "in_T0",
-    "in_T1",
     "coefficient",
     "varrho",
-    "hecke_check_n3",
 ]
 
 PRODUCT_TOL = 1e-6  # of a raw tuple, before canonicalize rescales it
@@ -71,7 +67,9 @@ def canonicalize_batch(raw: np.ndarray) -> np.ndarray:
     result is a valid SatakeParameter.
     """
     arr = np.asarray(raw, dtype=np.complex128)
-    n = arr.shape[-1]
+    if arr.ndim == 0:
+        raise ValueError(f"expected eigenvalue rows (..., N), got shape {arr.shape}")
+    n = _check_rank(arr.shape[-1])
     if np.any(arr == 0):
         raise ValueError("zero entry in Satake parameter")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is judged below
@@ -102,21 +100,7 @@ def canonicalize(raw) -> SatakeParameter:
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat eigenvalue tuple, got shape {arr.shape}")
-    n = _check_rank(arr.shape[0])
-    return SatakeParameter(n, tuple(canonicalize_batch(arr)))
-
-
-def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
-    """True iff every |alpha_i| lies in the closed band [1 - tol, 1 + tol]."""
-    mods = np.abs(x.as_array())
-    return bool(np.all(mods >= 1.0 - tol) and np.all(mods <= 1.0 + tol))
-
-
-def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
-    """True iff every |alpha_i| <= p^{1/2} (or the refined exponent)."""
-    exponent = 0.5 - (1.0 / (x.n**2 + 1) if refined else 0.0)
-    bound = float(_check_prime(p)) ** exponent
-    return bool(np.all(np.abs(x.as_array()) <= bound))
+    return SatakeParameter(arr.shape[0], tuple(canonicalize_batch(arr)))
 
 
 def coefficient(x: SatakeParameter, idx: CoefficientIndex) -> complex:
@@ -138,11 +122,6 @@ def varrho(x: SatakeParameter) -> tuple[complex, ...]:
     containment region modulo the Weyl action.
     """
     return tuple(elementary_symmetric(x.as_array()).tolist())
-
-
-def hecke_check_n3(x: SatakeParameter) -> float:
-    """Residual of the degree-2 Hecke identity A(1,p)A(p,1) = A(p,p) + 1."""
-    return float(hecke_residuals_n3(x.as_array()))
 
 
 def hecke_residuals_n3(alphas: np.ndarray) -> np.ndarray:

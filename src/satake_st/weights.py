@@ -19,7 +19,6 @@ __all__ = [
     "CoefficientIndex",
     "SpectralParameter",
     "aleph",
-    "aleph_inv",
     "langlands",
     "laplace_eigenvalue",
     "laplace_eigenvalues",
@@ -177,13 +176,6 @@ def aleph(idx: CoefficientIndex) -> DominantWeight:
     parts[i-1] = l_1 + ... + l_{N-i}; tail partial sums of the index.
     """
     return DominantWeight(idx.n, tuple(accumulate(idx.l))[::-1] + (0,))
-
-
-def aleph_inv(mu: DominantWeight) -> CoefficientIndex:
-    """Inverse of :func:`aleph`: successive differences read from the tail."""
-    n = mu.n
-    l = tuple(mu.parts[n - k - 1] - mu.parts[n - k] for k in range(1, n))
-    return CoefficientIndex(n, l)
 
 
 def _ell(n: int, nu_rows) -> np.ndarray:

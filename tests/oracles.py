@@ -29,7 +29,13 @@ None of these is used by the library itself:
 - ``family_from_dict_per_member`` loads a family document one member at a
   time, canonicalising and coherence-checking each member before the next;
 - ``b_entry``, ``b_matrix`` and ``langlands_matrix`` tabulate the integer
-  matrix L with ell = L @ nu from the b_ij values, column by column.
+  matrix L with ell = L @ nu from the b_ij values, column by column;
+- ``sample_st``, ``in_T0``, ``in_T1``, ``hecke_check_n3``,
+  ``dominant_part_sum``, ``aleph_inv``, ``orthogonality_error`` and
+  ``h_eval`` are scalar conveniences over library internals (one draw, the
+  tempered and containment regions, one Hecke residual, one weighted
+  dominant sum, the inverse index bijection, the orthogonality envelope,
+  one test-function value) that only the tests read.
 """
 
 import itertools
@@ -43,8 +49,10 @@ from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
     _canon,
+    _dominant_coefficients,
     _power,
     _schur,
+    _weighted_part_sum,
     spec_product_table,
     weight_table,
 )
@@ -56,12 +64,22 @@ from satake_st.families import (
     Family,
     FamilyMember,
     FamilyValidationError,
+    TestFunctionH,
     _decimal,
     _is_prime,
     _pair_to_complex,
 )
-from satake_st.satake import canonicalize, canonicalize_batch
-from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _check_rank, aleph
+from satake_st.sampling import sample_st_batch
+from satake_st.satake import SatakeParameter, canonicalize, canonicalize_batch, hecke_residuals_n3
+from satake_st.weights import (
+    CoefficientIndex,
+    DominantWeight,
+    SpectralParameter,
+    _check_prime,
+    _check_rank,
+    aleph,
+    laplace_eigenvalue,
+)
 
 
 def _height_key(coords: tuple[int, ...]) -> tuple:
@@ -426,3 +444,52 @@ def langlands_matrix(n: int) -> np.ndarray:
         rows[i - 1] = b[:, n - i - 1] - b[:, n - i]  # B_{N-i} - B_{N-i+1}
     rows[n - 1] = -b[:, 0]  # -B_1
     return rows
+
+
+def sample_st(n: int, rng: np.random.Generator) -> SatakeParameter:
+    """One draw from the conjugacy-class measure of SU(n)."""
+    row = sample_st_batch(n, 1, rng)[0]
+    return SatakeParameter(n, tuple(row))
+
+
+def in_T0(x: SatakeParameter, tol: float = 1e-9) -> bool:
+    """True iff every |alpha_i| lies in the closed band [1 - tol, 1 + tol]."""
+    mods = np.abs(x.as_array())
+    return bool(np.all(mods >= 1.0 - tol) and np.all(mods <= 1.0 + tol))
+
+
+def in_T1(x: SatakeParameter, p: int, refined: bool = False) -> bool:
+    """True iff every |alpha_i| <= p^{1/2} (or the refined exponent)."""
+    exponent = 0.5 - (1.0 / (x.n**2 + 1) if refined else 0.0)
+    bound = float(_check_prime(p)) ** exponent
+    return bool(np.all(np.abs(x.as_array()) <= bound))
+
+
+def hecke_check_n3(x: SatakeParameter) -> float:
+    """Residual of the degree-2 Hecke identity A(1,p)A(p,1) = A(p,p) + 1."""
+    return float(hecke_residuals_n3(x.as_array()))
+
+
+def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
+    """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|), for p > 1."""
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p!r}")
+    return _weighted_part_sum(_dominant_coefficients(spec), p, alpha)
+
+
+def aleph_inv(mu: DominantWeight) -> CoefficientIndex:
+    """Inverse of :func:`aleph`: successive differences read from the tail."""
+    n = mu.n
+    l = tuple(mu.parts[n - k - 1] - mu.parts[n - k] for k in range(1, n))
+    return CoefficientIndex(n, l)
+
+
+def orthogonality_error(t: float, p_big: float, theta: float, eps: float) -> float:
+    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * (T P)^eps."""
+    core = t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0)
+    return core * (t * p_big) ** eps
+
+
+def h_eval(h: TestFunctionH, nu: SpectralParameter, t: float) -> float:
+    """Evaluate the test function at scale t >= 1."""
+    return float(h.evaluate(laplace_eigenvalue(nu).real, t))

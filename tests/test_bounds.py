@@ -9,14 +9,15 @@ import pytest
 from satake_st.bounds import (
     Gl3BoundParams,
     convergence_error,
-    orthogonality_error,
     p_total,
     rate_report,
     verify_multiplicity_bound,
     verify_multiplicity_bounds,
 )
-from satake_st.characters import TensorSpec, dominant_part_sum, trivial_multiplicity
+from satake_st.characters import TensorSpec, trivial_multiplicity
 from satake_st.families import TestFunctionH, l_functional, synth_family
+
+from oracles import dominant_part_sum, orthogonality_error
 
 
 class TestPTotal:
@@ -136,6 +137,12 @@ class TestMultiplicityBounds:
         # 2^256 is finite, but (2^256 + 1 + 2^-256)^4 is not; 2^-1e308 is 0.0
         with pytest.raises(ValueError, match=re.escape(f"overflows a float at p=2, alpha={alpha}, d=4")):
             verify_multiplicity_bounds([(3, 0.5), (2, alpha)], 4)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_p_at_most_one_is_named_before_the_overflow_probe(self, p):
+        # p=0 was reported as an overflow, and (-2.0)^0.5 is complex
+        with pytest.raises(ValueError, match=f"^p must be > 1, got {p}$"):
+            verify_multiplicity_bound(p, 0.5, 2)
 
     def test_the_largest_finite_closed_bound_still_verifies(self):
         (rows,) = verify_multiplicity_bounds([(2, -255.0)], 4)

@@ -21,7 +21,6 @@ from satake_st.characters import (
     _schur,
     _strip_table,
     dim,
-    dominant_part_sum,
     eval_char,
     product,
     specialization_bound_n3,
@@ -30,9 +29,11 @@ from satake_st.characters import (
     weight_table,
 )
 from satake_st.satake import canonicalize, coefficient
-from satake_st.weights import CoefficientIndex, DominantWeight, aleph, aleph_inv
+from satake_st.weights import CoefficientIndex, DominantWeight, aleph
 
 from oracles import (
+    aleph_inv,
+    dominant_part_sum,
     eval_char_bialternant,
     freudenthal_weight_table,
     monomial_by_complex_power,
@@ -574,8 +575,6 @@ class TestDominantPartSum:
 
     def test_brute_force_agreement(self):
         # independent route: oracle table, dominant entries, explicit weights
-        from satake_st.weights import aleph_inv
-
         spec = TensorSpec(3, (1, 1, 1, 0))
         p, alpha = 3, 0.5
         table = spec_table_oracle(spec)

@@ -26,7 +26,6 @@ from satake_st.families import (
     equidist_report,
     family_from_dict,
     family_to_dict,
-    h_eval,
     l_functional,
     load_family,
     save_family,
@@ -34,10 +33,10 @@ from satake_st.families import (
     weight,
     weighted_stat,
 )
-from satake_st.satake import SatakeParameter, canonicalize, coefficient, elementary_symmetric, in_T1
+from satake_st.satake import SatakeParameter, canonicalize, coefficient, elementary_symmetric
 from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter, _unchecked, aleph
 
-from oracles import eval_char_bialternant, family_from_dict_per_member
+from oracles import eval_char_bialternant, family_from_dict_per_member, h_eval, in_T1
 
 
 NU0 = SpectralParameter(3, (0, 0))

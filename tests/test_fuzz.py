@@ -1,23 +1,28 @@
 """Fuzzed inputs: every CLI run ends in output or the JSON error object, the
 family loader lets only FamilyValidationError escape, and an out-of-domain
-argument to the Python API ends in ValueError."""
+argument to the Python API, whose public names are pinned, ends in ValueError."""
 
 import json
 import math
 import os
+import types
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from satake_st.bounds import convergence_error
-from satake_st.characters import TensorSpec, dominant_part_sum, eval_char, specialization_bound_n3
+import satake_st
+from satake_st.bounds import convergence_error, verify_multiplicity_bound
+from satake_st.characters import TensorSpec, elementary_symmetric, eval_char, specialization_bound_n3
 from satake_st.cli import cli
 from satake_st.families import Family, FamilyValidationError, family_from_dict, family_to_dict, save_family, synth_family
-from satake_st.sampling import plancherel_density_gl2
-from satake_st.satake import canonicalize, in_T1
+from satake_st.sampling import char_monomial, plancherel_density_gl2
+from satake_st.satake import canonicalize, canonicalize_batch
 from satake_st.weights import DominantWeight
+
+from oracles import dominant_part_sum, in_T1
 
 JUNK = ["", "abc", "nan", "inf", "-inf", ",", "1,,2", "-1", "0", "1.5", "1e3", "--"]
 UNWRITABLE = os.path.join(os.devnull, "x.csv")  # a path under a file cannot be opened
@@ -157,7 +162,25 @@ def test_family_loader_raises_only_validation_errors(doc):
     assert all(math.isfinite(mem.l1_adjoint) and mem.l1_adjoint > 0 for mem in fam.members)
 
 
+PUBLIC_NAMES = {
+    "CharacterTable", "CoefficientIndex", "DominantWeight", "Family", "FamilyMember", "FamilyValidationError",
+    "Gl3BoundParams", "McEstimate", "RngSeed", "SatakeParameter", "SpectralParameter", "TensorSpec",
+    "TermBudgetExceeded", "TestFunctionH", "aleph", "canonicalize", "char_monomial", "coefficient",
+    "convergence_error", "dim", "equidist_report", "eval_char", "l_functional", "langlands", "laplace_eigenvalue",
+    "load_family", "mc_integrate", "p_total", "plancherel_density_gl2", "product", "rate_report", "save_family",
+    "specialization_bound_n3", "st_density_gl2", "synth_family", "tensor_decompose", "trivial_multiplicity",
+    "varrho", "verify_multiplicity_bound", "weight", "weight_table",
+}
+
+
+def test_the_public_namespace_is_pinned():
+    """Adding or removing a public name is a decision, made here too."""
+    public = {k for k, v in vars(satake_st).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == PUBLIC_NAMES
+
+
 SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
+SPEC_N2 = TensorSpec(2, (1, 0))
 OUT_OF_DOMAIN = {
     "in_T1 at p=-1": lambda: in_T1(canonicalize([1, 1j, -1j]), -1),
     "plancherel at p=0": lambda: plancherel_density_gl2(0.1, 0),
@@ -168,6 +191,13 @@ OUT_OF_DOMAIN = {
     "convergence error at t=0": lambda: convergence_error(0, 1, 0.1, 1e-6),
     "canonicalize of no entries": lambda: canonicalize(()),
     "eval_char of no eigenvalue axis": lambda: eval_char(DominantWeight(3, (1, 0, 0)), None),
+    "multiplicity bound at p=0": lambda: verify_multiplicity_bound(0, 0.5, 2),
+    "multiplicity bound at p=-2": lambda: verify_multiplicity_bound(-2, 0.5, 2),
+    "elementary_symmetric of no row axis": lambda: elementary_symmetric(np.complex128(1)),
+    "char_monomial of no row axis": lambda: char_monomial(SPEC_N2)(np.complex128(1)),
+    "monomial of no row axis": lambda: SPEC_N2.monomial(np.complex128(1)),
+    "canonicalize_batch of no row axis": lambda: canonicalize_batch(np.complex128(1)),
+    "canonicalize_batch of empty rows": lambda: canonicalize_batch(np.zeros((2, 0))),
 }
 
 

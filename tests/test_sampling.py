@@ -25,14 +25,13 @@ from satake_st.sampling import (
     mc_integrate,
     plancherel_density_gl2,
     sample_bank,
-    sample_st,
     sample_st_batch,
     st_cdf_gl2,
     st_density_gl2,
     varrho_bank,
 )
 
-from oracles import haar_su_varrho_row_major, mc_estimate_from_bank, monomial_from_ones, sample_st_rejection
+from oracles import haar_su_varrho_row_major, mc_estimate_from_bank, monomial_from_ones, sample_st, sample_st_rejection
 
 
 def ks_distance(values, cdf) -> float:

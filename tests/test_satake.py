@@ -14,14 +14,13 @@ from satake_st.satake import (
     canonicalize_batch,
     coefficient,
     elementary_symmetric,
-    hecke_check_n3,
     hecke_residuals_n3,
-    in_T0,
-    in_T1,
     varrho,
 )
 from satake_st.sampling import RngSeed, perturb_radial, sample_st_batch
 from satake_st.weights import CoefficientIndex, DominantWeight
+
+from oracles import hecke_check_n3, in_T0, in_T1
 
 OMEGA = np.exp(2j * np.pi / 3)
 

@@ -15,13 +15,12 @@ from satake_st.weights import (
     DominantWeight,
     SpectralParameter,
     aleph,
-    aleph_inv,
     langlands,
     laplace_eigenvalue,
     laplace_eigenvalues,
 )
 
-from oracles import b_entry, b_matrix
+from oracles import aleph_inv, b_entry, b_matrix
 
 
 def idx_strategy(max_n=5, max_entry=6):
