@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
 from .families import Family, TestFunctionH, equidist_report
-from .weights import _check_prime, _check_scale
+from .weights import _check_finite, _check_prime, _check_scale
 
 __all__ = [
     "Gl3BoundParams",
@@ -57,8 +57,10 @@ def p_total(params: Gl3BoundParams) -> float:
 
 
 def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float:
-    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at a finite scale T >= 1."""
+    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at a finite scale T >= 1 and finite P, theta, eps."""
     _check_scale(t)
+    for name, x in (("p_big", p_big), ("theta", theta), ("eps", eps)):
+        _check_finite(x, name)
     core = t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0)
     return core * t ** (-5.0 + eps) * p_big**eps
 
@@ -84,12 +86,11 @@ def verify_multiplicity_bound(
 
 def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[MultiplicityBoundRow]]:
     """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
-    out, table = [], None
+    out, table, memo = [], None, {}
     for p, alpha in pairs:
         if not p > 1:
             raise ValueError(f"p must be > 1, got {p!r}")
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
+        _check_finite(alpha, "alpha")
         try:  # the sweep's largest value: the closed bound at max_degree, as specialization_bound_n3 forms it
             x = float(p) ** alpha
             fits = math.isfinite((x + 1.0 + 1.0 / x) ** max_degree)
@@ -100,7 +101,7 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
                 f"closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={p}, alpha={alpha}, d={max_degree}"
             )
         if table is None:
-            table = [(spec, _dominant_coefficients(spec)) for spec in TensorSpec.up_to_degree(3, max_degree)]
+            table = [(spec, _dominant_coefficients(spec, memo)) for spec in TensorSpec.up_to_degree(3, max_degree)]
         rows = []
         for spec, coeffs in table:
             exact = _weighted_part_sum(coeffs, p, alpha)

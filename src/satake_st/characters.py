@@ -1,14 +1,14 @@
 """Exact characters of SU(N) irreducibles.
 
 Weight multiplicities come from the branching rule in integer arithmetic
-(Macdonald I.5.11: peel off one variable over every horizontal strip);
-tensor products of fundamental modules are decomposed by the iterated
-Pieri rule on partitions, with no weight tables (one strip table per
-factor size and call, from row bit masks, filtered by each partition's tie
-mask; unchecked result keys), and the bound sweep's dominant sums are those
-Pieri multiplicities times branching-rule table entries; numeric character
-values use the smaller Jacobi-Trudi determinant, in the e_k or in the h_r from
-them by the h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
+(Macdonald I.5.11: peel off one variable over every horizontal strip), built
+for dominant weights only; tensor products of fundamental modules are
+decomposed by the iterated Pieri rule on partitions, with no weight tables (one
+strip table per factor size and call, from row bit masks, filtered by each
+partition's tie mask; unchecked result keys), and the bound sweep's dominant sums
+are those Pieri multiplicities times dominant Kostka numbers, memoised per call and
+not cached; numeric character values use the smaller Jacobi-Trudi determinant, in the
+e_k or in the h_r from them by the h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, eq, ge, neg
+from operator import add, eq, neg
 
 import numpy as np
 
-from .weights import DominantWeight, _check_rank, _exact, _store, _unchecked
+from .weights import DominantWeight, _check_finite, _check_rank, _exact, _store, _unchecked
 
 __all__ = [
     "CharacterTable",
@@ -182,43 +181,55 @@ def dim(mu: DominantWeight) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def _weight_table_terms(n: int, parts: tuple[int, ...]) -> dict:
-    """Full weight multiplicity map of the irreducible with highest weight parts.
+def _dominant_table(parts: tuple[int, ...], memo: dict) -> dict:
+    """Dominant weight multiplicities K_{lam,w} of the irreducible with highest weight parts.
 
     Branching rule (Macdonald I.5.11): s_lam(x_1..x_k) is the sum of
     s_mu(x_1..x_{k-1}) x_k^(|lam|-|mu|) over the mu interlacing lam,
-    lam_{i+1} <= mu_i <= lam_i.  Sub-tables are memoised per call on full
-    weight coordinates, canonicalised once at the end.  Cached; safe for
-    concurrent readers (lru_cache locks insertion).
+    lam_{i+1} <= mu_i <= lam_i.  A dominant w comes only from a dominant entry
+    of a mu table that ends at or above w_k, so only those entries are built,
+    on full weight coordinates.  Sub-tables are memoised in the caller's memo.
     """
-    memo: dict[tuple[int, ...], dict] = {(): {(): 1}}
-
-    def table(lam: tuple[int, ...]) -> dict:
-        if lam not in memo:
-            out: dict[tuple[int, ...], int] = {}
-            ranges = [range(lo, hi + 1) for hi, lo in zip(lam, lam[1:])]
-            for mu in itertools.product(*ranges):
-                last = (sum(lam) - sum(mu),)
-                for w, m in table(mu).items():
+    if len(parts) < 2:
+        return {parts: 1}
+    if parts not in memo:
+        out = memo[parts] = {}
+        ranges = [range(lo, hi + 1) for hi, lo in zip(parts, parts[1:])]
+        for mu in itertools.product(*ranges):
+            last = (sum(parts) - sum(mu),)
+            for w, m in _dominant_table(mu, memo).items():
+                if w[-1] >= last[0]:
                     out[w + last] = out.get(w + last, 0) + m
-            memo[lam] = out
-        return memo[lam]
+    return memo[parts]
 
-    terms = {_canon(w): m for w, m in table(parts).items()}
-    assert sum(terms.values()) == dim(DominantWeight(n, parts))
-    return terms
+
+def _canonical_dominant_table(mu: DominantWeight, memo: dict) -> dict:
+    """``_dominant_table`` keyed by w - w[-1] (the last entry of a dominant w is its minimum), memoised in memo
+    under mu, next to the sub-tables under their parts; asserts sum_w K_{mu,w} |W.w| == dim(mu), with
+    |W.w| = N!/prod(mult!) the size of w's orbit."""
+    if mu not in memo:
+        terms = memo[mu] = {tuple(c - w[-1] for c in w): m for w, m in _dominant_table(mu.parts, memo).items()}
+        orbit = math.factorial(mu.n)
+        assert sum(m * orbit // math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(w))
+                   for w, m in terms.items()) == dim(mu)
+    return memo[mu]
 
 
 def weight_table(mu: DominantWeight, budget: int = DEFAULT_TERM_BUDGET) -> CharacterTable:
-    """Exact weight multiplicities of the irreducible with highest weight mu,
-    by the branching rule; each call returns a copy of the cached table."""
+    """Exact weight multiplicities of the irreducible with highest weight mu: its dominant
+    entries by the branching rule, each spread over its distinct permutations; a new table per call."""
     est = dim(mu)
     if est > budget:
         raise TermBudgetExceeded(
             f"weight table of {mu.parts} has {est} weights (budget {budget})"
         )
-    return CharacterTable(mu.n, dict(_weight_table_terms(mu.n, mu.parts)))
+    terms = {}
+    for w, m in _canonical_dominant_table(mu, {}).items():
+        perms = [()]  # each entry of w goes in only left of its first copy placed, so no arrangement repeats
+        for x in w:
+            perms = [p[:i] + (x,) + p[i:] for p in perms for i in range((p + (x,)).index(x) + 1)]
+        terms.update(dict.fromkeys(perms, m))
+    return CharacterTable(mu.n, terms)
 
 
 def product(
@@ -397,14 +408,13 @@ def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
     return arr
 
 
-def _dominant_coefficients(spec: TensorSpec) -> dict[tuple[int, ...], int]:
-    """c_w = sum_lam a_lam K_{lam,w} at each dominant weight w, from the Pieri multiplicities
-    and the branching-rule tables; an upper bound for the decomposition multiplicities."""
+def _dominant_coefficients(spec: TensorSpec, memo: dict) -> dict[tuple[int, ...], int]:
+    """c_w = sum_lam a_lam K_{lam,w} at each canonical dominant weight w, from the Pieri multiplicities and the
+    branching rule's dominant tables, memoised in the caller's memo; an upper bound for the decomposition multiplicities."""
     coeffs: dict[tuple[int, ...], int] = {}
     for lam, a in tensor_decompose(spec).items():
-        for w, k in _weight_table_terms(spec.n, lam.parts).items():
-            if all(map(ge, w, w[1:])):
-                coeffs[w] = coeffs.get(w, 0) + a * k
+        for w, k in _canonical_dominant_table(lam, memo).items():
+            coeffs[w] = coeffs.get(w, 0) + a * k
     return coeffs
 
 
@@ -420,5 +430,5 @@ def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
         raise ValueError(f"closed-form bound requires N=3, got N={spec.n}")
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p!r}")
-    x = float(p) ** alpha
+    x = float(p) ** _check_finite(alpha, "alpha")
     return (x + 1.0 + 1.0 / x) ** spec.degree

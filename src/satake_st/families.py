@@ -33,7 +33,7 @@ from .characters import TensorSpec, _schur, trivial_multiplicity
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, _canonical_roots, _haar_su_varrho, perturb_radial
 from .weights import (
-    CoefficientIndex, SpectralParameter, _check_scale, _is_prime, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues,
+    CoefficientIndex, SpectralParameter, _check_prime, _check_scale, _is_prime, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues,
 )
 
 __all__ = [
@@ -285,6 +285,8 @@ def l_functional(
     """
     if len(family) == 0:
         raise FamilyValidationError("empty family")
+    if p not in family.e:  # every key of family.e was checked as prime when the family was built
+        _check_prime(p)
     weights = h.evaluate(family.lam, float(t)) / family.l1
     if isinstance(f, TensorSpec):
         vals = _spec_values(f, family.e.get(p, family._a_rows), p)
@@ -373,6 +375,8 @@ def equidist_report(
 
     if len(family) == 0:
         raise FamilyValidationError("empty family")
+    if p not in family.e:  # as in l_functional
+        _check_prime(p)
     t_grid = tuple(t_grid)  # read twice, here and per spec below
     weight_columns = [h.evaluate(family.lam, float(t)) / family.l1 for t in t_grid]  # per member, one per scale
     e = family.e.get(p, family._a_rows)  # the stored A[k] where no member has a parameter at p

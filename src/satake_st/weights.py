@@ -69,6 +69,13 @@ def _check_scale(t: float) -> float:
     return t
 
 
+def _check_finite(x: float, name: str) -> float:
+    """The real x, once checked to be finite; a NaN or an infinity fails, naming the argument."""
+    if not -np.inf < x < np.inf:
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _exact(raw: tuple, kind: type) -> tuple | None:
     """raw as a tuple of Python ints or complexes, or None if an entry does not convert or, for int, is not equal to its int."""
     try:

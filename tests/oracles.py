@@ -474,7 +474,7 @@ def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
     """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|), for p > 1."""
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p!r}")
-    return _weighted_part_sum(_dominant_coefficients(spec), p, alpha)
+    return _weighted_part_sum(_dominant_coefficients(spec, {}), p, alpha)
 
 
 def aleph_inv(mu: DominantWeight) -> CoefficientIndex:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
+    _dominant_coefficients,
     _schur,
     _strip_table,
     dim,
@@ -133,8 +134,19 @@ class TestWeightTable:
             for spec in TensorSpec.up_to_degree(n, d):
                 mus.update(tensor_decompose(spec))
         assert len(mus) == 163
+        # and long runs of equal entries, whose orbits the table lists as distinct permutations
+        for n, parts in [(7, (2, 1)), (7, (1, 1, 1)), (7, (2, 2, 1, 1)), (8, (1, 1, 1, 1)), (8, (2, 1, 1)), (8, (3, 1))]:
+            mus.add(DominantWeight(n, parts + (0,) * (n - len(parts))))
         for mu in mus:
             assert weight_table(mu).terms == freudenthal_weight_table(mu.n, mu.parts), mu.parts
+
+    @pytest.mark.parametrize("n, d", [(2, 6), (3, 5), (4, 4), (5, 3)])
+    def test_dominant_coefficients_match_convolution(self, n, d):
+        """c_w is the product table's entry at each dominant w, by monomial convolution: no Pieri, no branching."""
+        for spec in TensorSpec.up_to_degree(n, d):
+            table = spec_table_oracle(spec)
+            expected = {w: c for w, c in table.items() if all(a >= b for a, b in zip(w, w[1:]))}
+            assert _dominant_coefficients(spec, {}) == expected, spec.exponents
 
 
 class TestDim:

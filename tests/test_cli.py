@@ -38,10 +38,12 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
             ["bound", "--verify", "--p", "2,3,5", "--alpha", "0.109375,0.5,1.6666666667", "--max-degree", "4"],
             "cli-bound-verify.csv",
         ),
+        (["bound", "--verify", "--p", "2,7", "--alpha", "0.5", "--max-degree", "6"], "cli-bound-verify-d6.csv"),
     ],
 )
 def test_exact_layer_stdout_is_pinned(runner, argv, name):
-    """The README's exact-layer lines print the bytes in tests/data (CI compares the module's stdout too)."""
+    """The README's exact-layer lines and a degree-6 sweep print the bytes in tests/data (CI compares the
+    module's stdout on the README lines too)."""
     result = runner.invoke(cli, argv)
     assert result.exit_code == 0
     with open(os.path.join(DATA, name), "rb") as fh:

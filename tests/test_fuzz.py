@@ -2,9 +2,11 @@
 family loader lets only FamilyValidationError escape, and an out-of-domain
 argument to the Python API, whose public names are pinned, ends in ValueError."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import types
 
 import numpy as np
@@ -17,10 +19,13 @@ import satake_st
 from satake_st.bounds import convergence_error, verify_multiplicity_bound
 from satake_st.characters import TensorSpec, elementary_symmetric, eval_char, specialization_bound_n3
 from satake_st.cli import cli
-from satake_st.families import Family, FamilyValidationError, family_from_dict, family_to_dict, save_family, synth_family
+from satake_st.families import (
+    Family, FamilyMember, FamilyValidationError, TestFunctionH, equidist_report, family_from_dict, family_to_dict,
+    l_functional, save_family, synth_family,
+)
 from satake_st.sampling import char_monomial, plancherel_density_gl2
-from satake_st.satake import canonicalize, canonicalize_batch
-from satake_st.weights import DominantWeight
+from satake_st.satake import canonicalize, canonicalize_batch, coefficient
+from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter
 
 from oracles import dominant_part_sum, in_T1
 
@@ -179,8 +184,24 @@ def test_the_public_namespace_is_pinned():
     assert public == PUBLIC_NAMES
 
 
+def test_the_package_holds_one_module_level_cache():
+    """Module state is a decision too: the one cache is the sample bank's, which moment sweeps reuse."""
+    modules = [satake_st] + [importlib.import_module(f"satake_st.{m.name}") for m in pkgutil.iter_modules(satake_st.__path__)]
+    cached = {f"{mod.__name__}.{k}" for mod in modules for k, v in vars(mod).items() if hasattr(v, "cache_info")}
+    assert cached == {"satake_st.sampling._varrho_bank"}
+
+
 SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
 SPEC_N2 = TensorSpec(2, (1, 0))
+
+
+def coefficient_family() -> Family:
+    """Five N=3 members with stored A[1], A[2] and no Satake parameter, so a statistic reads the same rows at any p."""
+    x = canonicalize([1, 1j, -1j])
+    coeffs = {idx: coefficient(x, idx) for idx in (CoefficientIndex.unit(3, 1), CoefficientIndex.unit(3, 2))}
+    return Family(3, tuple(FamilyMember(SpectralParameter(3, (0, 0)), 1.0 + j, coeffs) for j in range(5)))
+
+
 OUT_OF_DOMAIN = {
     "in_T1 at p=-1": lambda: in_T1(canonicalize([1, 1j, -1j]), -1),
     "plancherel at p=0": lambda: plancherel_density_gl2(0.1, 0),
@@ -189,6 +210,14 @@ OUT_OF_DOMAIN = {
     "dominant part sum at p=0": lambda: dominant_part_sum(SPEC_N3, 0, 1),
     "dominant part sum at p=1": lambda: dominant_part_sum(SPEC_N3, 1, 1),
     "convergence error at t=0": lambda: convergence_error(0, 1, 0.1, 1e-6),
+    "convergence error at P=nan": lambda: convergence_error(10, math.nan, 0.1, 1e-6),
+    "convergence error at P=inf": lambda: convergence_error(10, math.inf, 0.1, 1e-6),
+    "convergence error at theta=nan": lambda: convergence_error(10, 8, math.nan, 1e-6),
+    "convergence error at eps=nan": lambda: convergence_error(10, 8, 0.1, math.nan),
+    "specialization bound at alpha=-inf": lambda: specialization_bound_n3(SPEC_N3, 2, -math.inf),
+    "specialization bound at alpha=nan": lambda: specialization_bound_n3(SPEC_N3, 2, math.nan),
+    "equidist_report at p=4": lambda: equidist_report(coefficient_family(), 4, [TensorSpec(3, (1, 1, 0, 0))], TestFunctionH.gaussian(), [10]),
+    "l_functional at p=0": lambda: l_functional(coefficient_family(), 0, TensorSpec(3, (1, 1, 0, 0)), TestFunctionH.gaussian(), 10),
     "canonicalize of no entries": lambda: canonicalize(()),
     "eval_char of no eigenvalue axis": lambda: eval_char(DominantWeight(3, (1, 0, 0)), None),
     "multiplicity bound at p=0": lambda: verify_multiplicity_bound(0, 0.5, 2),
