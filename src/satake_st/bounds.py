@@ -4,6 +4,10 @@ multiplicity-sum inequality behind the rate of convergence.
 Envelope values carry an implied constant of 1: they report shapes, not
 certified inequalities.  The multiplicity bound is exact arithmetic and
 is asserted.
+
+This module reads the rank-generic family statistic from ``families``,
+which imports nothing from it; the CLI's ``gl3_error_bound`` column is
+``rate_report``'s envelope.
 """
 
 from __future__ import annotations
@@ -88,18 +92,7 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
     """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
     out, table, memo = [], None, {}
     for p, alpha in pairs:
-        if not p > 1:
-            raise ValueError(f"p must be > 1, got {p!r}")
-        _check_finite(alpha, "alpha")
-        try:  # the sweep's largest value: the closed bound at max_degree, as specialization_bound_n3 forms it
-            x = float(p) ** alpha
-            fits = math.isfinite((x + 1.0 + 1.0 / x) ** max_degree)
-        except (OverflowError, ZeroDivisionError):  # p^alpha above the float range, or below it
-            fits = False
-        if not fits:
-            raise ValueError(
-                f"closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={p}, alpha={alpha}, d={max_degree}"
-            )
+        specialization_bound_n3(TensorSpec(3, (max_degree, 0, 0, 0)), p, alpha)  # the sweep's largest value fits
         if table is None:
             table = [(spec, _dominant_coefficients(spec, memo)) for spec in TensorSpec.up_to_degree(3, max_degree)]
         rows = []

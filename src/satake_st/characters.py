@@ -425,10 +425,17 @@ def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float)
 
 
 def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
-    """(p^alpha + 1 + p^{-alpha})^(total degree) for p > 1; closed-form bound, N=3 only."""
+    """(p^alpha + 1 + p^{-alpha})^(total degree) for p > 1; closed-form bound, N=3 only.
+    A bound outside the float range raises, naming p, alpha and the degree."""
     if spec.n != 3:
         raise ValueError(f"closed-form bound requires N=3, got N={spec.n}")
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p!r}")
-    x = float(p) ** _check_finite(alpha, "alpha")
-    return (x + 1.0 + 1.0 / x) ** spec.degree
+    try:
+        x = float(p) ** _check_finite(alpha, "alpha")
+        bound = (x + 1.0 + 1.0 / x) ** spec.degree
+    except (OverflowError, ZeroDivisionError):  # p^alpha above the float range, or below it
+        bound = math.inf
+    if not math.isfinite(bound):  # 1/x is inf at a subnormal x
+        raise ValueError(f"closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={p}, alpha={alpha}, d={spec.degree}")
+    return bound

@@ -15,6 +15,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import characters, sampling
 from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bounds
@@ -44,6 +45,13 @@ def _parse_primes(text: str) -> list[int]:
     if "" in items or not all(_is_prime(int(v)) for v in items):
         raise ValueError(f"--p must be a comma list of primes, got {text!r}")
     return [int(v) for v in items]
+
+
+def _parse_prime(text: str, command: str) -> int:
+    p, *others = _parse_primes(text)
+    if others:
+        raise ValueError(f"{command} takes one prime, got {text!r}")
+    return p
 
 
 def _emit(rows: list[dict], fieldnames: list[str], out: str, fmt: str, extra: dict | None = None):
@@ -190,9 +198,7 @@ def sample(n, m, bins, out, fmt, seed):
 @_flags(SEED)
 def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid, h_kind, out, fmt, seed):
     """Weighted family statistic against the exact moment, per spec and scale."""
-    p, *others = _parse_primes(p_text)
-    if others:
-        raise ValueError(f"equidist takes one prime, got {p_text!r}")
+    p = _parse_prime(p_text, "equidist")
     if (family_path is None) == (synth_size == 0):
         raise ValueError("give exactly one of --family or --synth-size")
     specs = TensorSpec.up_to_degree(n, max_degree)  # checks the rank before a family is read or drawn
@@ -203,6 +209,11 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
     else:
         fam = synth_family(n, synth_size, mode=synth_mode, primes=(p,), seed=seed)
     h = TestFunctionH.gaussian() if h_kind == "gaussian" else TestFunctionH.indicator()
+    ts = _parse_list(t_grid, float)
+    report = equidist_report(fam, p, specs, h, ts)
+    envelopes = [""] * len(report)
+    if n == 3:  # the rate envelope, as bound --rate prints it, in the order of the report's rows
+        envelopes = [r.envelope for s in specs for r in rate_report(Gl3BoundParams(p, s.exponents), ts)]
     rows = [
         {
             "spec": ",".join(str(e) for e in r.spec.exponents),
@@ -212,10 +223,10 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
             "std_error": r.std_error,
             "oracle": r.oracle,
             "abs_diff": r.difference,
-            "gl3_error_bound": "" if r.gl3_bound is None else r.gl3_bound,
+            "gl3_error_bound": envelope,
             "ess": r.ess,
         }
-        for r in equidist_report(fam, p, specs, h, _parse_list(t_grid, float))
+        for r, envelope in zip(report, envelopes)
     ]
     fields = ["spec", "T", "estimate_re", "estimate_im", "std_error", "oracle", "abs_diff", "gl3_error_bound", "ess"]
     _emit(rows, fields, out, fmt)
@@ -224,7 +235,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
 @cli.command()
 @click.option("--verify", "mode", flag_value="verify", default=True)
 @click.option("--rate", "mode", flag_value="rate")
-@click.option("--p", "p_text", default="2,3,5", show_default=True, help="Comma list of primes (--rate uses the first).")
+@click.option("--p", "p_text", default=None, show_default="2,3,5; 2 for --rate", help="Comma list of primes (one for --rate).")
 @click.option("--alpha", "alpha_text", default="0.109375,0.5,1.6666666667", show_default=True)
 @click.option("--max-degree", default=4, show_default=True, type=click.IntRange(min=0))
 @click.option("--spec", "spec_text", default="1,0,0,0", show_default=True, help="Exponents for --rate.")
@@ -232,20 +243,30 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
 @click.option("--theta", default=7.0 / 64.0, show_default=True, type=float)
 @click.option("--eps", default=1e-6, show_default=True, type=float)
 @_flags()
-def bound(mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, out, fmt):
+@click.pass_context
+def bound(ctx, mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, eps, out, fmt):
     """Exact multiplicity-bound sweep (--verify) or rate envelope (--rate)."""
-    primes = _parse_primes(p_text)
+    unread = ("spec_text", "t_grid", "theta", "eps") if mode == "verify" else ("alpha_text", "max_degree")
+    # a value from the command line or a SATAKE_ST_BOUND_* variable counts as given
+    given = [
+        o.opts[0] for o in ctx.command.params if o.name in unread and ctx.get_parameter_source(o.name) != ParameterSource.DEFAULT
+    ]
+    if given:
+        raise click.UsageError(f"bound --{mode} does not read {', '.join(given)}")
+    if p_text is None:
+        p_text = {"verify": "2,3,5", "rate": "2"}[mode]
     if mode == "verify":
         fields = ["i1", "i1p", "i2", "i2p", "p", "alpha", "exact", "bound"]
-        pairs = [(p, alpha) for p in primes for alpha in _parse_list(alpha_text, float)]
+        pairs = [(p, alpha) for p in _parse_primes(p_text) for alpha in _parse_list(alpha_text, float)]
         rows = [
             dict(zip(fields, (*r.exponents, p, alpha, r.exact_sum, r.closed_bound)))
             for (p, alpha), pair_rows in zip(pairs, verify_multiplicity_bounds(pairs, max_degree))
             for r in pair_rows
         ]
     else:
+        p = _parse_prime(p_text, "bound --rate")
         exps = tuple(_parse_list(spec_text, int))
-        params = Gl3BoundParams(p=primes[0], exponents=exps, theta=theta, eps=eps)
+        params = Gl3BoundParams(p=p, exponents=exps, theta=theta, eps=eps)
         rows = [
             {"T": r.t, "envelope": r.envelope, "measured": "" if r.measured is None else r.measured}
             for r in rate_report(params, _parse_list(t_grid, float))

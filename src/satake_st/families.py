@@ -13,6 +13,9 @@ they check all members as one batch and, on a fault, check halves again until
 one member is left, whose own fault they report as ``member j: ...``;
 synthesis writes trusted columns directly, and the writer reads them.
 ``Family.members`` builds ``FamilyMember`` views of the rows, forming roots as read.
+
+The statistic holds at every N and imports nothing from ``bounds``: the N=3
+rate envelope there reads this module, never the other way round.
 """
 
 from __future__ import annotations
@@ -272,6 +275,15 @@ def _spec_values(spec: TensorSpec, e: np.ndarray, p: int) -> np.ndarray:
     return vals
 
 
+def _open_rows(family: Family, p: int) -> np.ndarray:
+    """The e-rows a statistic at the prime p reads: the stored A[k] where no member has a parameter at p."""
+    if len(family) == 0:
+        raise FamilyValidationError("empty family")
+    if type(p) is not int or p not in family.e:  # every key of family.e was checked as prime when the family was built
+        _check_prime(p)
+    return family.e.get(p, family._a_rows)
+
+
 # an overflowing weight or value gives a non-finite statistic, which weighted_stat rejects
 @np.errstate(over="ignore", invalid="ignore")
 def l_functional(
@@ -283,13 +295,10 @@ def l_functional(
     case members lacking a Satake parameter at p are evaluated through
     their stored A[k], and need one for every k with i_k or i'_k nonzero.
     """
-    if len(family) == 0:
-        raise FamilyValidationError("empty family")
-    if p not in family.e:  # every key of family.e was checked as prime when the family was built
-        _check_prime(p)
+    e = _open_rows(family, p)
     weights = h.evaluate(family.lam, float(t)) / family.l1
     if isinstance(f, TensorSpec):
-        vals = _spec_values(f, family.e.get(p, family._a_rows), p)
+        vals = _spec_values(f, e, p)
     else:
         rows = family.alphas(p) if p in family.e else np.full((len(family), 1), np.nan)
         lacking = np.flatnonzero(np.isnan(rows[:, 0]))
@@ -353,7 +362,6 @@ class EquidistRow:
     estimate: complex
     std_error: float
     oracle: int
-    gl3_bound: float | None
     ess: float = math.nan  # Kish's effective sample size (sum w)^2 / sum w^2 at scale t
 
     @property
@@ -371,29 +379,19 @@ def equidist_report(
 ) -> list[EquidistRow]:
     """Weighted statistic vs. exact moment for each spec and scale; a member
     without a Satake parameter at p needs a stored A[k] for every k some spec uses."""
-    from .bounds import THETA_DEFAULT, Gl3BoundParams, convergence_error
-
-    if len(family) == 0:
-        raise FamilyValidationError("empty family")
-    if p not in family.e:  # as in l_functional
-        _check_prime(p)
+    e = _open_rows(family, p)
     t_grid = tuple(t_grid)  # read twice, here and per spec below
     weight_columns = [h.evaluate(family.lam, float(t)) / family.l1 for t in t_grid]  # per member, one per scale
-    e = family.e.get(p, family._a_rows)  # the stored A[k] where no member has a parameter at p
     rows = []
     for spec in specs:
         oracle = trivial_multiplicity(spec)
         vals = _spec_values(spec, e, p)
         for t, weights in zip(t_grid, weight_columns):
             mean, se = weighted_stat(vals, weights)
-            bound = None
-            if family.n == 3:
-                p_big = float(p) ** spec.degree
-                bound = convergence_error(t, p_big, THETA_DEFAULT, Gl3BoundParams.eps)
             rows.append(
                 EquidistRow(
                     spec=spec, t=float(t), estimate=mean, std_error=se,
-                    oracle=oracle, gl3_bound=bound,
+                    oracle=oracle,
                     ess=_kish_ess(weights),
                 )
             )

@@ -128,6 +128,7 @@ def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.nda
     """Canonical rows of unit-torus rows times radial noise staying inside |alpha| <= p^{1/2}; row i
     stays row i.  Per-row log-radii are zero-sum, so products stay at 1; the largest |log_p radius|
     is capped strictly below 1/2."""
+    _check_prime(p)
     m, n = bank.shape
     shifts = rng.uniform(-1.0, 1.0, size=(m, n))
     shifts -= shifts.mean(axis=1, keepdims=True)

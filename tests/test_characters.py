@@ -648,6 +648,12 @@ class TestSpecializationBound:
         with pytest.raises(ValueError):
             specialization_bound_n3(TensorSpec(4, (1, 0, 0, 0, 0, 0)), 2, 0.5)
 
+    @pytest.mark.parametrize("alpha", [2000.0, -2000.0, -1074.0])
+    def test_a_bound_outside_the_float_range_names_p_alpha_and_degree(self, alpha):
+        # 2^2000 overflows, 2^-2000 underflows to 0.0, and 1 / 2^-1074 is inf
+        with pytest.raises(ValueError, match=re.escape(f"overflows a float at p=2, alpha={alpha}, d=1")):
+            specialization_bound_n3(TensorSpec(3, (1, 0, 0, 0)), 2, alpha)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [7 / 64, 0.5, 5 / 3])
     def test_dominant_sum_below_bound(self, p, alpha):

@@ -160,6 +160,20 @@ class TestEquidist:
         )
         assert result.exit_code == 0
 
+    def test_error_bound_column_is_pinned_for_n3(self, runner):
+        """The column is bound --rate's envelope, pure float math; the pinned values were printed before it moved there."""
+        args = ["equidist", "--n", "3", "--p", "2", "--synth-size", "50", "--max-degree", "2", "--t-grid", "10,100"]
+        result = runner.invoke(cli, args + ["--format", "json"])
+        assert result.exit_code == 0
+        with open(os.path.join(DATA, "cli-equidist-gl3-bound.json")) as fh:
+            assert [r["gl3_error_bound"] for r in json.loads(result.output)["rows"]] == json.load(fh)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_no_error_bound_column_for_other_ranks(self, runner, n):
+        args = ["equidist", "--n", str(n), "--p", "2", "--synth-size", "50", "--max-degree", "1", "--t-grid", "10,100"]
+        rows = read_csv(runner.invoke(cli, args).output)
+        assert rows and all(r["gl3_error_bound"] == "" for r in rows)
+
 
 class TestBound:
     def test_verify_header_and_exit(self, runner):
@@ -194,6 +208,38 @@ class TestBound:
         lines = result.output.splitlines()
         assert lines[0] == "T,envelope,measured"
         assert len(lines) == 3
+
+    def test_rate_defaults_to_one_prime(self, runner):
+        assert runner.invoke(cli, ["bound", "--rate"]).output == runner.invoke(cli, ["bound", "--rate", "--p", "2"]).output
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--verify", "--max-degree", "1", "--theta", "99"], "--theta"),
+            (["--verify", "--max-degree", "1", "--eps", "-1"], "--eps"),
+            (["--verify", "--max-degree", "1", "--spec", "9"], "--spec"),
+            (["--verify", "--max-degree", "1", "--t-grid", "0"], "--t-grid"),
+            (["--rate", "--alpha", "nan"], "--alpha"),
+            (["--rate", "--alpha", "300"], "--alpha"),
+            (["--rate", "--max-degree", "40"], "--max-degree"),
+        ],
+    )
+    def test_a_flag_the_mode_does_not_read_is_an_error(self, runner, args, flag):
+        result = runner.invoke(cli, ["bound", *args], catch_exceptions=False)
+        assert result.exit_code == 2 and result.stdout == ""
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "UsageError" and err["message"] == f"bound {args[0]} does not read {flag}"
+
+    def test_an_unread_flag_from_the_environment_is_an_error(self, runner):
+        result = runner.invoke(
+            cli, ["bound", "--max-degree", "1"], env={"SATAKE_ST_BOUND_THETA": "99"}, auto_envvar_prefix="SATAKE_ST",
+        )
+        assert result.exit_code == 2 and "does not read --theta" in json.loads(result.stderr)["error"]["message"]
+
+    def test_rate_takes_one_prime(self, runner):
+        result = runner.invoke(cli, ["bound", "--rate", "--p", "2,3"], catch_exceptions=False)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert json.loads(result.stderr)["error"]["message"] == "bound --rate takes one prime, got '2,3'"
 
 
 class TestHecke:

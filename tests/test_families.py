@@ -386,16 +386,6 @@ class TestEquidistReport:
         rows = equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 0))], TestFunctionH.gaussian(), [10.0, 100.0])
         assert all(r.difference == 0.0 for r in rows)
 
-    def test_error_bound_column_present_for_n3(self):
-        fam = synth_family(3, 50, seed=13)
-        rows = equidist_report(fam, 2, [TensorSpec(3, (1, 0, 0, 0))], TestFunctionH.gaussian(), [10.0])
-        assert rows[0].gl3_bound is not None and rows[0].gl3_bound > 0
-
-    def test_no_bound_column_for_other_ranks(self):
-        fam = synth_family(2, 50, seed=14)
-        rows = equidist_report(fam, 2, [TensorSpec(2, (1, 0))], TestFunctionH.gaussian(), [10.0])
-        assert rows[0].gl3_bound is None
-
     def test_difference_shrinks_with_family_size(self):
         # the mean over ten seeds, since one seed's two differences may fall in either order by chance
         h = TestFunctionH.gaussian()

@@ -2,6 +2,8 @@
 family loader lets only FamilyValidationError escape, and an out-of-domain
 argument to the Python API, whose public names are pinned, ends in ValueError."""
 
+import ast
+import graphlib
 import importlib
 import json
 import math
@@ -23,11 +25,9 @@ from satake_st.families import (
     Family, FamilyMember, FamilyValidationError, TestFunctionH, equidist_report, family_from_dict, family_to_dict,
     l_functional, save_family, synth_family,
 )
-from satake_st.sampling import char_monomial, plancherel_density_gl2
+from satake_st.sampling import char_monomial, perturb_radial, plancherel_density_gl2, sample_st_batch
 from satake_st.satake import canonicalize, canonicalize_batch, coefficient
 from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter
-
-from oracles import dominant_part_sum, in_T1
 
 JUNK = ["", "abc", "nan", "inf", "-inf", ",", "1,,2", "-1", "0", "1.5", "1e3", "--"]
 UNWRITABLE = os.path.join(os.devnull, "x.csv")  # a path under a file cannot be opened
@@ -191,8 +191,24 @@ def test_the_package_holds_one_module_level_cache():
     assert cached == {"satake_st.sampling._varrho_bank"}
 
 
+def test_the_module_imports_are_acyclic():
+    """Layering is a decision too: no chain of relative imports, function bodies included, leads back to its start."""
+    root = os.path.dirname(satake_st.__file__)
+    graph = {}
+    for m in pkgutil.iter_modules(satake_st.__path__):
+        with open(os.path.join(root, f"{m.name}.py")) as fh:
+            nodes = [n for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.ImportFrom) and n.level == 1]
+        modules = {n.module.split(".")[0] for n in nodes if n.module}  # from .bounds import ...
+        graph[m.name] = modules | {a.name for n in nodes if not n.module for a in n.names}  # from . import sampling
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
 SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
 SPEC_N2 = TensorSpec(2, (1, 0))
+SPEC_11 = TensorSpec(3, (1, 1, 0, 0))
 
 
 def coefficient_family() -> Family:
@@ -202,13 +218,20 @@ def coefficient_family() -> Family:
     return Family(3, tuple(FamilyMember(SpectralParameter(3, (0, 0)), 1.0 + j, coeffs) for j in range(5)))
 
 
+def satake_family() -> Family:
+    """Five N=3 members with a Satake parameter at p=2."""
+    return synth_family(3, 5, primes=(2,), seed=1)
+
+
+def perturbed(p):
+    """perturb_radial at p on a 4-row N=3 bank; p=1 would return the rows unperturbed."""
+    return perturb_radial(sample_st_batch(3, 4, np.random.default_rng(0)), p, np.random.default_rng(1))
+
+
 OUT_OF_DOMAIN = {
-    "in_T1 at p=-1": lambda: in_T1(canonicalize([1, 1j, -1j]), -1),
     "plancherel at p=0": lambda: plancherel_density_gl2(0.1, 0),
     "specialization bound at p=0": lambda: specialization_bound_n3(SPEC_N3, 0, 1),
     "specialization bound at p=1": lambda: specialization_bound_n3(SPEC_N3, 1, 1),
-    "dominant part sum at p=0": lambda: dominant_part_sum(SPEC_N3, 0, 1),
-    "dominant part sum at p=1": lambda: dominant_part_sum(SPEC_N3, 1, 1),
     "convergence error at t=0": lambda: convergence_error(0, 1, 0.1, 1e-6),
     "convergence error at P=nan": lambda: convergence_error(10, math.nan, 0.1, 1e-6),
     "convergence error at P=inf": lambda: convergence_error(10, math.inf, 0.1, 1e-6),
@@ -216,8 +239,16 @@ OUT_OF_DOMAIN = {
     "convergence error at eps=nan": lambda: convergence_error(10, 8, 0.1, math.nan),
     "specialization bound at alpha=-inf": lambda: specialization_bound_n3(SPEC_N3, 2, -math.inf),
     "specialization bound at alpha=nan": lambda: specialization_bound_n3(SPEC_N3, 2, math.nan),
+    "specialization bound at alpha=2000": lambda: specialization_bound_n3(SPEC_N3, 2, 2000.0),
+    "specialization bound at alpha=-2000": lambda: specialization_bound_n3(SPEC_N3, 2, -2000.0),
     "equidist_report at p=4": lambda: equidist_report(coefficient_family(), 4, [TensorSpec(3, (1, 1, 0, 0))], TestFunctionH.gaussian(), [10]),
     "l_functional at p=0": lambda: l_functional(coefficient_family(), 0, TensorSpec(3, (1, 1, 0, 0)), TestFunctionH.gaussian(), 10),
+    # 2.0 and numpy's 2 hash as the stored key 2 does
+    "equidist_report at p=2.0": lambda: equidist_report(satake_family(), 2.0, [SPEC_11], TestFunctionH.gaussian(), [10]),
+    "l_functional at p=2.0": lambda: l_functional(satake_family(), 2.0, SPEC_11, TestFunctionH.gaussian(), 10),
+    "l_functional at p=int64(2)": lambda: l_functional(satake_family(), np.int64(2), SPEC_11, TestFunctionH.gaussian(), 10),
+    "perturb_radial at p=1": lambda: perturbed(1),
+    "perturb_radial at p=2.5": lambda: perturbed(2.5),
     "canonicalize of no entries": lambda: canonicalize(()),
     "eval_char of no eigenvalue axis": lambda: eval_char(DominantWeight(3, (1, 0, 0)), None),
     "multiplicity bound at p=0": lambda: verify_multiplicity_bound(0, 0.5, 2),
