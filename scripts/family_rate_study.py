@@ -12,7 +12,8 @@ import csv
 import sys
 
 from satake_st.bounds import Gl3BoundParams, rate_report
-from satake_st.families import TestFunctionH, synth_family
+from satake_st.characters import TensorSpec
+from satake_st.families import TestFunctionH, equidist_report, synth_family
 
 
 def main():
@@ -28,7 +29,7 @@ def main():
 
     exps = tuple(int(v) for v in args.spec.split(","))
     grid = [float(v) for v in args.t_grid.split(",")]
-    params = Gl3BoundParams(p=args.p, exponents=exps, eps=args.eps)
+    envelopes = rate_report(Gl3BoundParams(p=args.p, exponents=exps, eps=args.eps), grid)
     h = TestFunctionH.gaussian()
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w")
@@ -36,8 +37,9 @@ def main():
     writer.writerow(["family_size", "T", "envelope", "measured"])
     for size in (int(v) for v in args.sizes.split(",")):
         fam = synth_family(3, size, primes=(args.p,), seed=args.seed)
-        for row in rate_report(params, grid, family=fam, h=h):
-            writer.writerow([size, row.t, row.envelope, row.measured])
+        # one equidist row per scale, in grid order, as the CLI's equidist prints them
+        for env, row in zip(envelopes, equidist_report(fam, args.p, [TensorSpec(3, exps)], h, grid)):
+            writer.writerow([size, env.t, env.envelope, row.difference])
     if fh is not sys.stdout:
         fh.close()
 

@@ -5,9 +5,9 @@ Envelope values carry an implied constant of 1: they report shapes, not
 certified inequalities.  The multiplicity bound is exact arithmetic and
 is asserted.
 
-This module reads the rank-generic family statistic from ``families``,
-which imports nothing from it; the CLI's ``gl3_error_bound`` column is
-``rate_report``'s envelope.
+This module reads only the exact algebra (``characters``, ``weights``).
+The measured deviation |L_T - a_0| is ``EquidistRow.difference``; the
+CLI's ``gl3_error_bound`` column is ``rate_report``'s envelope.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
-from .families import Family, TestFunctionH, equidist_report
 from .weights import _check_finite, _check_prime, _check_scale
 
 __all__ = [
@@ -50,9 +49,6 @@ class Gl3BoundParams:
         if not 0 <= self.theta <= THETA_DEFAULT:
             raise ValueError(f"theta must lie in [0, 7/64], got {self.theta}")
         object.__setattr__(self, "exponents", TensorSpec(3, self.exponents).exponents)
-
-    def spec(self) -> TensorSpec:
-        return TensorSpec(3, self.exponents)
 
 
 def p_total(params: Gl3BoundParams) -> float:
@@ -111,24 +107,9 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
 class RateRow:
     t: float
     envelope: float
-    measured: float | None
 
 
-def rate_report(
-    params: Gl3BoundParams,
-    t_grid,
-    family: Family | None = None,
-    h: TestFunctionH | None = None,
-) -> list[RateRow]:
-    """Envelope of the rate bound across a scale grid, with measured
-    deviations |L_T - a_0| when a family with N=3 data is supplied."""
+def rate_report(params: Gl3BoundParams, t_grid) -> list[RateRow]:
+    """Envelope of the rate bound across a scale grid."""
     p_big = p_total(params)
-    ts = [_check_scale(float(t)) for t in t_grid]
-    measured = [None] * len(ts)
-    if family is not None:
-        rows = equidist_report(family, params.p, [params.spec()], h or TestFunctionH.gaussian(), ts)
-        measured = [r.difference for r in rows]
-    return [
-        RateRow(t=t, envelope=convergence_error(t, p_big, params.theta, params.eps), measured=d)
-        for t, d in zip(ts, measured)
-    ]
+    return [RateRow(t, convergence_error(t, p_big, params.theta, params.eps)) for t in map(float, t_grid)]

@@ -44,7 +44,11 @@ def _parse_primes(text: str) -> list[int]:
     items = text.split(",")
     if "" in items or not all(_is_prime(int(v)) for v in items):
         raise ValueError(f"--p must be a comma list of primes, got {text!r}")
-    return [int(v) for v in items]
+    primes = [int(v) for v in items]
+    repeated = [p for p in primes if primes.count(p) > 1]
+    if repeated:  # a repeat would print its rows twice, or draw a second bank for them
+        raise ValueError(f"primes must be distinct: {repeated[0]} is repeated in {text!r}")
+    return primes
 
 
 def _parse_prime(text: str, command: str) -> int:
@@ -267,11 +271,8 @@ def bound(ctx, mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, e
         p = _parse_prime(p_text, "bound --rate")
         exps = tuple(_parse_list(spec_text, int))
         params = Gl3BoundParams(p=p, exponents=exps, theta=theta, eps=eps)
-        rows = [
-            {"T": r.t, "envelope": r.envelope, "measured": "" if r.measured is None else r.measured}
-            for r in rate_report(params, _parse_list(t_grid, float))
-        ]
-        fields = ["T", "envelope", "measured"]
+        rows = [{"T": r.t, "envelope": r.envelope} for r in rate_report(params, _parse_list(t_grid, float))]
+        fields = ["T", "envelope"]
     _emit(rows, fields, out, fmt)
 
 

@@ -39,6 +39,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
             "cli-bound-verify.csv",
         ),
         (["bound", "--verify", "--p", "2,7", "--alpha", "0.5", "--max-degree", "6"], "cli-bound-verify-d6.csv"),
+        (["bound", "--rate", "--p", "2", "--spec", "1,0,0,0", "--t-grid", "10,100,1000"], "cli-bound-rate.csv"),
     ],
 )
 def test_exact_layer_stdout_is_pinned(runner, argv, name):
@@ -206,7 +207,7 @@ class TestBound:
         )
         assert result.exit_code == 0
         lines = result.output.splitlines()
-        assert lines[0] == "T,envelope,measured"
+        assert lines[0] == "T,envelope"
         assert len(lines) == 3
 
     def test_rate_defaults_to_one_prime(self, runner):
@@ -253,6 +254,19 @@ class TestHecke:
     def test_rejects_other_rank(self, runner):
         result = runner.invoke(cli, ["hecke", "--n", "4"])
         assert result.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["bound", "--verify", "--p", "2,2", "--alpha", "0.5,0.5", "--max-degree", "0"], "2 is repeated in '2,2'"),
+        (["hecke", "--n", "3", "--m", "4", "--p", "3,5,3"], "3 is repeated in '3,5,3'"),
+    ],
+)
+def test_a_repeated_prime_is_an_error(runner, args, text):
+    result = runner.invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["message"] == f"primes must be distinct: {text}"
 
 
 class TestIngest:

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satake_st import families
-from satake_st.bounds import Gl3BoundParams, rate_report
-from satake_st.characters import TensorSpec, eval_char, tensor_decompose
+from satake_st.characters import TensorSpec, eval_char, tensor_decompose, trivial_multiplicity
 from satake_st.families import (
     MAX_INDEX_DEGREE,
     _is_prime,
@@ -192,8 +191,6 @@ class TestOverflowingWeights:
             equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 0))], h, [10.0])
         with pytest.raises(FamilyValidationError, match="not finite"):
             l_functional(fam, 2, lambda x: 1.0, h, 10.0)
-        with pytest.raises(FamilyValidationError, match="not finite"):
-            rate_report(Gl3BoundParams(2, (1, 0, 0, 0)), [10.0], family=fam)
 
     # L(1, Ad) = 1e-200 gives finite weights near 1e200, whose squares overflow
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -401,6 +398,27 @@ class TestEquidistReport:
         fam, h, spec = synth_family(3, 50, seed=13), TestFunctionH.gaussian(), TensorSpec(3, (1, 1, 0, 0))
         rows = equidist_report(fam, 2, [spec], h, (t for t in [10.0, 30.0]))
         assert len(rows) == 2 and rows == equidist_report(fam, 2, [spec], h, [10.0, 30.0])
+
+    def test_zero_spec_measures_zero(self):
+        fam = synth_family(3, 50, seed=1)
+        rows = equidist_report(fam, 2, [TensorSpec(3, (0, 0, 0, 0))], TestFunctionH.gaussian(), [10.0])
+        assert rows[0].difference == 0.0
+
+    def test_difference_of_a_healthy_family(self):
+        fam = synth_family(3, 2000, seed=2)
+        rows = equidist_report(fam, 2, [TensorSpec(3, (1, 1, 0, 0))], TestFunctionH.gaussian(), [50.0])
+        assert rows[0].difference < 0.5  # statistic near its mean 1 for a healthy family
+
+    def test_difference_equals_l_functional(self):
+        fam = synth_family(3, 500, seed=3)
+        spec = TensorSpec(3, (1, 1, 0, 0))
+        h = TestFunctionH.gaussian()
+        grid = [10.0, 30.0, 100.0]
+        a0 = trivial_multiplicity(spec)
+        rows = equidist_report(fam, 2, [spec], h, grid)
+        assert [r.t for r in rows] == grid
+        for t, row in zip(grid, rows):
+            assert row.difference == abs(l_functional(fam, 2, spec, h, t) - a0)
 
 
 class TestSerialization:
@@ -805,8 +823,6 @@ class TestEmptyFamily:
         empty = Family(3, ())
         with pytest.raises(FamilyValidationError, match="^empty family$"):
             equidist_report(empty, 2, [TensorSpec(3, (0, 0, 0, 0))], TestFunctionH.gaussian(), [10.0])
-        with pytest.raises(FamilyValidationError, match="^empty family$"):
-            rate_report(Gl3BoundParams(2, (1, 0, 0, 0)), [10.0], family=empty)
 
 
 # --- the batched loader against the member-by-member oracle -------------------

@@ -75,7 +75,8 @@ COMMANDS = {
     "moment": ["--n", "--spec", "--m", "--seed", "--budget", "--format", "--out"],
     "sample": ["--n", "--m", "--bins", "--seed", "--format", "--out"],
     "equidist": ["--n", "--p", "--synth-size", "--max-degree", "--t-grid", "--seed", "--format", "--out"],
-    "bound": ["--p", "--alpha", "--max-degree", "--spec", "--t-grid", "--theta", "--eps", "--format", "--out"],
+    "bound --verify": ["--p", "--alpha", "--max-degree", "--format", "--out"],
+    "bound --rate": ["--p", "--spec", "--t-grid", "--theta", "--eps", "--format", "--out"],
     "hecke": ["--n", "--m", "--p", "--tol", "--seed", "--format", "--out"],
     "ingest": ["--format", "--out", "--seed"],
 }
@@ -93,11 +94,9 @@ def family_paths(tmp_path_factory):
 @st.composite
 def invocations(draw, paths):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    args = [command]
+    args = command.split()  # bound's two modes read different flags
     if command == "ingest":
         args.append(draw(st.sampled_from(paths)))
-    elif command == "bound":
-        args.append(draw(st.sampled_from(["--verify", "--rate"])))
     for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True)):
         args += [flag, draw(FLAGS[flag] if flag == "--out" else flag_values(FLAGS[flag]))]
     return args
@@ -191,19 +190,26 @@ def test_the_package_holds_one_module_level_cache():
     assert cached == {"satake_st.sampling._varrho_bank"}
 
 
+def relative_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, function bodies included."""
+    with open(os.path.join(os.path.dirname(satake_st.__file__), f"{module}.py")) as fh:
+        nodes = [n for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.ImportFrom) and n.level == 1]
+    modules = {n.module.split(".")[0] for n in nodes if n.module}  # from .bounds import ...
+    return modules | {a.name for n in nodes if not n.module for a in n.names}  # from . import sampling
+
+
 def test_the_module_imports_are_acyclic():
     """Layering is a decision too: no chain of relative imports, function bodies included, leads back to its start."""
-    root = os.path.dirname(satake_st.__file__)
-    graph = {}
-    for m in pkgutil.iter_modules(satake_st.__path__):
-        with open(os.path.join(root, f"{m.name}.py")) as fh:
-            nodes = [n for n in ast.walk(ast.parse(fh.read())) if isinstance(n, ast.ImportFrom) and n.level == 1]
-        modules = {n.module.split(".")[0] for n in nodes if n.module}  # from .bounds import ...
-        graph[m.name] = modules | {a.name for n in nodes if not n.module for a in n.names}  # from . import sampling
+    graph = {m.name: relative_imports(m.name) for m in pkgutil.iter_modules(satake_st.__path__)}
     try:
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def test_the_bounds_module_reads_only_the_exact_algebra():
+    """The rate envelope and the multiplicity bound need no family: the measured deviation is the statistic's own."""
+    assert relative_imports("bounds") == {"characters", "weights"}
 
 
 SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
