@@ -5,9 +5,11 @@ Weight multiplicities come from the branching rule in integer arithmetic
 for dominant weights only; tensor products of fundamental modules are
 decomposed by the iterated Pieri rule on partitions, with no weight tables (one
 strip table per factor size and call, from row bit masks, filtered by each
-partition's tie mask; unchecked result keys), and the bound sweep's dominant sums
-are those Pieri multiplicities times dominant Kostka numbers, memoised per call and
-not cached; numeric character values use the smaller Jacobi-Trudi determinant, in the
+partition's tie mask; unchecked result keys).  The bound sweep's dominant sums
+need no decomposition: the coefficient of x^w in a product of factors e_k counts
+the (0,1)-matrices with row sums the factor sizes and column sums w (Macdonald
+I.6), walked over dominant weights one factor at a time, memoised per call and
+not cached.  Numeric character values use the smaller Jacobi-Trudi determinant, in the
 e_k or in the h_r from them by the h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, eq, neg
+from operator import add, eq, neg, sub
 
 import numpy as np
 
@@ -203,32 +205,20 @@ def _dominant_table(parts: tuple[int, ...], memo: dict) -> dict:
     return memo[parts]
 
 
-def _canonical_dominant_table(mu: DominantWeight, memo: dict) -> dict:
-    """``_dominant_table`` keyed by w - w[-1] (the last entry of a dominant w is its minimum), memoised in memo
-    under mu, next to the sub-tables under their parts; asserts sum_w K_{mu,w} |W.w| == dim(mu), with
-    |W.w| = N!/prod(mult!) the size of w's orbit."""
-    if mu not in memo:
-        terms = memo[mu] = {tuple(c - w[-1] for c in w): m for w, m in _dominant_table(mu.parts, memo).items()}
-        orbit = math.factorial(mu.n)
-        assert sum(m * orbit // math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(w))
-                   for w, m in terms.items()) == dim(mu)
-    return memo[mu]
-
-
 def weight_table(mu: DominantWeight, budget: int = DEFAULT_TERM_BUDGET) -> CharacterTable:
     """Exact weight multiplicities of the irreducible with highest weight mu: its dominant
-    entries by the branching rule, each spread over its distinct permutations; a new table per call."""
+    entries w by the branching rule, keyed by w - w[-1] and each spread over its distinct
+    permutations; a new table per call.  Asserts that the mass, sum_w K_{mu,w} |W.w|, is dim(mu)."""
     est = dim(mu)
     if est > budget:
-        raise TermBudgetExceeded(
-            f"weight table of {mu.parts} has {est} weights (budget {budget})"
-        )
+        raise TermBudgetExceeded(f"weight table of {mu.parts} has {est} weights (budget {budget})")
     terms = {}
-    for w, m in _canonical_dominant_table(mu, {}).items():
+    for w, m in _dominant_table(mu.parts, {}).items():
         perms = [()]  # each entry of w goes in only left of its first copy placed, so no arrangement repeats
-        for x in w:
+        for x in (c - w[-1] for c in w):
             perms = [p[:i] + (x,) + p[i:] for p in perms for i in range((p + (x,)).index(x) + 1)]
         terms.update(dict.fromkeys(perms, m))
+    assert sum(terms.values()) == est
     return CharacterTable(mu.n, terms)
 
 
@@ -409,13 +399,30 @@ def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
 
 
 def _dominant_coefficients(spec: TensorSpec, memo: dict) -> dict[tuple[int, ...], int]:
-    """c_w = sum_lam a_lam K_{lam,w} at each canonical dominant weight w, from the Pieri multiplicities and the
-    branching rule's dominant tables, memoised in the caller's memo; an upper bound for the decomposition multiplicities."""
-    coeffs: dict[tuple[int, ...], int] = {}
-    for lam, a in tensor_decompose(spec).items():
-        for w, k in _canonical_dominant_table(lam, memo).items():
-            coeffs[w] = coeffs.get(w, 0) + a * k
-    return coeffs
+    """c_w, the coefficient of x^w in the product of the factors e_k (k per i_k, N - k per i'_k), keyed by w - w[-1]
+    at each dominant w: the number of (0,1)-matrices with row sums the factor sizes and column sums w (Macdonald I.6).
+    A walk over dominant full weights, sizes sorted: a step of size k maps c to c'(v) = sum_eps c(sort(v - eps)) over
+    the 0/1 vectors eps of weight k, at each v = sort(u + eps).  The caller's memo keeps each size prefix's state and
+    each size tuple's result.  The budget bounds len(state) * C(N, k) summed over all steps, memoised or not, so a
+    degree above it fails before the first step."""
+    n = spec.n
+    if spec.degree > DEFAULT_TERM_BUDGET:
+        raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {DEFAULT_TERM_BUDGET}")
+    sizes = tuple(sorted(k for j in range(1, n) for k in [j] * spec.plain(j) + [n - j] * spec.conjugate(j)))
+    state, tried = {(0,) * n: 1}, 0
+    for i, k in enumerate(sizes, 1):
+        tried += len(state) * math.comb(n, k)
+        if tried > DEFAULT_TERM_BUDGET:
+            raise TermBudgetExceeded(f"walk steps with {tried} candidate vectors in total exceed budget {DEFAULT_TERM_BUDGET}")
+        if (n, sizes[:i]) not in memo:
+            eps = [tuple(int(r in rows) for r in range(n)) for rows in itertools.combinations(range(n), k)]
+            targets = {tuple(sorted(map(add, u, e), reverse=True)) for u in state for e in eps}
+            memo[n, sizes[:i]] = {v: sum(state.get(tuple(sorted(map(sub, v, e), reverse=True)), 0) for e in eps)
+                                  for v in targets}
+        state = memo[n, sizes[:i]]
+    if (n, sizes, "canonical") not in memo:  # e_k and conj(e_{N-k}) have the same size, so specs share results
+        memo[n, sizes, "canonical"] = {tuple(c - w[-1] for c in w): m for w, m in state.items()}
+    return memo[n, sizes, "canonical"]
 
 
 def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float) -> float:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -33,22 +34,23 @@ def _fail(exc: BaseException, code: int = 2):
     sys.exit(code)
 
 
-def _parse_list(text: str, kind) -> list:
+def _parse_list(text: str, kind, distinct: str = "") -> list:
+    """The comma list text, each item read by kind; with distinct, the name of the values, two equal ones raise."""
     items = text.split(",")
     if "" in items:
         raise ValueError(f"comma list {text!r} has an empty item")
-    return [kind(v) for v in items]
+    values = [kind(v) for v in items]
+    repeated = [v for v, count in Counter(values).items() if count > 1] if distinct else []
+    if repeated:  # a repeat would print its rows twice, or draw a second bank for them
+        raise ValueError(f"{distinct} must be distinct: {repeated[0]} is repeated in {text!r}")
+    return values
 
 
 def _parse_primes(text: str) -> list[int]:
     items = text.split(",")
     if "" in items or not all(_is_prime(int(v)) for v in items):
         raise ValueError(f"--p must be a comma list of primes, got {text!r}")
-    primes = [int(v) for v in items]
-    repeated = [p for p in primes if primes.count(p) > 1]
-    if repeated:  # a repeat would print its rows twice, or draw a second bank for them
-        raise ValueError(f"primes must be distinct: {repeated[0]} is repeated in {text!r}")
-    return primes
+    return _parse_list(text, int, "primes")
 
 
 def _parse_prime(text: str, command: str) -> int:
@@ -261,7 +263,7 @@ def bound(ctx, mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, e
         p_text = {"verify": "2,3,5", "rate": "2"}[mode]
     if mode == "verify":
         fields = ["i1", "i1p", "i2", "i2p", "p", "alpha", "exact", "bound"]
-        pairs = [(p, alpha) for p in _parse_primes(p_text) for alpha in _parse_list(alpha_text, float)]
+        pairs = [(p, alpha) for p in _parse_primes(p_text) for alpha in _parse_list(alpha_text, float, "alphas")]
         rows = [
             dict(zip(fields, (*r.exponents, p, alpha, r.exact_sum, r.closed_bound)))
             for (p, alpha), pair_rows in zip(pairs, verify_multiplicity_bounds(pairs, max_degree))

@@ -8,6 +8,7 @@ and numeric values from the bialternant ratio.
 import cmath
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -140,13 +141,21 @@ class TestWeightTable:
         for mu in mus:
             assert weight_table(mu).terms == freudenthal_weight_table(mu.n, mu.parts), mu.parts
 
-    @pytest.mark.parametrize("n, d", [(2, 6), (3, 5), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("n, d", [(2, 6), (3, 5), (3, 7), (4, 4), (5, 3), (6, 3)])
     def test_dominant_coefficients_match_convolution(self, n, d):
-        """c_w is the product table's entry at each dominant w, by monomial convolution: no Pieri, no branching."""
+        """c_w is the product table's entry at each dominant w, by monomial convolution: no walk over dominant weights."""
         for spec in TensorSpec.up_to_degree(n, d):
             table = spec_table_oracle(spec)
             expected = {w: c for w, c in table.items() if all(a >= b for a, b in zip(w, w[1:]))}
             assert _dominant_coefficients(spec, {}) == expected, spec.exponents
+
+    def test_a_shared_memo_gives_the_tables_of_fresh_ones(self):
+        # specs in any order share size prefixes, e_k and conj(e_{N-k}) share sizes, and two ranks share both
+        specs = TensorSpec.up_to_degree(4, 4) + TensorSpec.up_to_degree(3, 4)
+        random.Random(0).shuffle(specs)
+        memo = {}
+        for spec in specs:
+            assert _dominant_coefficients(spec, memo) == _dominant_coefficients(spec, {}), spec.exponents
 
 
 class TestDim:

@@ -539,6 +539,11 @@ class TestErrorBoundary:
             (["decompose", "--n", "3", "--spec", "1,,1,0,0"], "empty item"),
             (["equidist", "--n", "3", "--synth-size", "10", "--t-grid", ""], "empty item"),
             (["bound", "--verify", "--alpha", "", "--max-degree", "1"], "empty item"),
+            (["bound", "--verify", "--p", "2", "--alpha", "0.5,0.5", "--max-degree", "0"],
+             "alphas must be distinct: 0.5 is repeated in '0.5,0.5'"),
+            # the rule reads the parsed floats, not the text
+            (["bound", "--verify", "--p", "2", "--alpha", "0.5,0.50", "--max-degree", "0"],
+             "alphas must be distinct: 0.5 is repeated in '0.5,0.50'"),
             (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "-1"], "--max-degree"),
             (["bound", "--verify", "--max-degree", "-1"], "--max-degree"),
             # p^|alpha| beyond the float range: the closed bound at the largest degree overflows
@@ -555,7 +560,7 @@ class TestErrorBoundary:
             "empty-prime-list", "zero-prime", "negative-prime", "rate-nan-scale", "equidist-nan-scale",
             "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
             "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
-            "spec-empty-item", "empty-t-grid", "empty-alpha",
+            "spec-empty-item", "empty-t-grid", "empty-alpha", "repeated-alpha", "repeated-alpha-after-parsing",
             "negative-max-degree-equidist", "negative-max-degree-bound",
             "verify-alpha-300", "verify-alpha-minus-300", "verify-alpha-1e308", "verify-alpha-minus-1e308",
         ],

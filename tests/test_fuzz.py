@@ -37,37 +37,41 @@ def ints(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
-def int_lists(lo, hi, max_size=4):
-    return st.lists(st.integers(lo, hi), max_size=max_size).map(lambda v: ",".join(map(str, v)))
+def int_lists(lo, hi, min_size=0, max_size=4):
+    return st.lists(st.integers(lo, hi), min_size=min_size, max_size=max_size).map(lambda v: ",".join(map(str, v)))
 
 
-def floats(lo, hi):
-    return st.floats(lo, hi, allow_nan=False).map(repr)
+PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 
 
-def flag_values(valid):
-    """Mostly in-range values, sometimes junk."""
-    return st.one_of(valid, valid, st.sampled_from(JUNK))
+def prime_lists():
+    return st.lists(PRIMES, min_size=1, max_size=3, unique=True).map(lambda v: ",".join(map(str, v)))
+
+
+def floats(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, **kwargs).map(repr)
 
 
 # Bounded so that a well-formed run stays small: m <= 500, exponents <= 3, bins <= 200, N <= 5.
 FLAGS = {
     "--n": ints(-1, 5),
     "--m": ints(-2, 500),
-    "--spec": int_lists(0, 3, max_size=8),
+    "--spec": st.one_of(int_lists(0, 3, 4, 4), int_lists(0, 3, max_size=8)),  # 4 wide half the time, as N=3 reads
     "--bins": ints(-1, 200),
-    "--p": int_lists(-3, 12),
-    "--alpha": st.lists(floats(-3, 3), max_size=2).map(lambda v: ",".join(v)),
+    # mostly one prime (bound --rate takes one) or a few distinct ones; a fifth of the draws any
+    # integers, so mostly a non-prime, a repeat or an empty list
+    "--p": st.one_of(PRIMES.map(str), PRIMES.map(str), PRIMES.map(str), prime_lists(), int_lists(-3, 12)),
+    "--alpha": st.lists(floats(-3, 3), min_size=1, max_size=2).map(lambda v: ",".join(v)),
     "--max-degree": ints(-1, 3),
-    "--t-grid": st.lists(floats(0, 1e3), max_size=3).map(lambda v: ",".join(v)),
-    "--theta": floats(-1, 1),
-    "--eps": floats(-1, 1),
+    "--t-grid": st.lists(floats(1, 1e3), min_size=1, max_size=3).map(lambda v: ",".join(v)),
+    "--theta": floats(0, 7 / 64),
+    "--eps": floats(0, 1, exclude_min=True),
     "--tol": floats(-1, 1),
     "--synth-size": ints(-1, 200),
     "--seed": ints(-1, 5),
     "--budget": ints(0, 2000),
-    "--format": st.sampled_from(["csv", "json", "xml"]),
-    "--out": st.sampled_from(["-", UNWRITABLE]),  # never junk: a junk path would be written to
+    "--format": st.sampled_from(["csv", "json"]),
+    "--out": st.just("-"),
 }
 
 COMMANDS = {
@@ -97,8 +101,13 @@ def invocations(draw, paths):
     args = command.split()  # bound's two modes read different flags
     if command == "ingest":
         args.append(draw(st.sampled_from(paths)))
-    for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True)):
-        args += [flag, draw(FLAGS[flag] if flag == "--out" else flag_values(FLAGS[flag]))]
+    flags = draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True))
+    # about a third of the runs give one flag a junk value; --out's is a path that cannot be opened, as a
+    # junk path would be written to
+    junk = draw(st.one_of(st.none(), st.none(), st.sampled_from(flags))) if flags else None
+    for flag in flags:
+        bad = st.just(UNWRITABLE) if flag == "--out" else st.sampled_from(JUNK)
+        args += [flag, draw(bad if flag == junk else FLAGS[flag])]
     return args
 
 
