@@ -15,7 +15,6 @@ from .characters import (
     dim,
     eval_char,
     product,
-    specialization_bound_n3,
     tensor_decompose,
     trivial_multiplicity,
     weight_table,
@@ -51,6 +50,7 @@ from .bounds import (
     convergence_error,
     p_total,
     rate_report,
+    specialization_bound_n3,
     verify_multiplicity_bound,
 )
 

@@ -3,7 +3,8 @@ multiplicity-sum inequality behind the rate of convergence.
 
 Envelope values carry an implied constant of 1: they report shapes, not
 certified inequalities.  The multiplicity bound is exact arithmetic and
-is asserted.
+is asserted.  The closed forms (P, the envelope, the closed bound) share
+``_normal``'s float-range rule, which the envelope leaves above T ~ 1e61.
 
 This module reads only the exact algebra (``characters``, ``weights``).
 The measured deviation |L_T - a_0| is ``EquidistRow.difference``; the
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import TensorSpec, _dominant_coefficients, _weighted_part_sum, specialization_bound_n3
+from .characters import TensorSpec, _dominant_coefficients
 from .weights import _check_finite, _check_prime, _check_scale
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "MultiplicityBoundRow",
     "rate_report",
     "RateRow",
+    "specialization_bound_n3",
 ]
 
 THETA_DEFAULT = 7.0 / 64.0
@@ -51,9 +53,21 @@ class Gl3BoundParams:
         object.__setattr__(self, "exponents", TensorSpec(3, self.exponents).exponents)
 
 
+def _normal(says: str, evaluate, *inputs) -> float:
+    """evaluate()'s last float if no power overflows and each is positive and normal; else ValueError(says.format(*inputs))."""
+    try:
+        values = evaluate()
+    except (OverflowError, ZeroDivisionError):  # a power above the float range; 1 / p^alpha at a p^alpha that is 0.0
+        values = (math.inf,)
+    if not all(2.0**-1022 <= v < math.inf for v in values):  # 2^-1022, the least normal float
+        raise ValueError(says.format(*inputs))
+    return values[-1]
+
+
 def p_total(params: Gl3BoundParams) -> float:
     """P = p^(i1 + i1' + i2 + i2')."""
-    return float(params.p) ** sum(params.exponents)
+    p, d = params.p, sum(params.exponents)
+    return _normal("P = p^d is out of range of a normal float at p={}, d={}", lambda: (float(p) ** d,), p, d)
 
 
 def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float:
@@ -61,8 +75,27 @@ def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float
     _check_scale(t)
     for name, x in (("p_big", p_big), ("theta", theta), ("eps", eps)):
         _check_finite(x, name)
-    core = t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0)
-    return core * t ** (-5.0 + eps) * p_big**eps
+    return _normal("envelope is out of range of a normal float at t={}, p_big={}, theta={}, eps={}",
+                   lambda: (core := t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0),
+                            decay := t ** (-5.0 + eps), size := p_big**eps, core * decay * size), t, p_big, theta, eps)
+
+
+def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float) -> float:
+    """sum_w c_w p^(alpha*|l|), |l| = w[0] for a canonical dominant w.  Summed by
+    math.fsum, so the value depends only on the integer coefficients."""
+    return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
+
+
+def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
+    """(p^alpha + 1 + p^{-alpha})^(total degree) for p > 1; closed-form bound, N=3 only.
+    A bound outside the float range raises, naming p, alpha and the degree."""
+    if spec.n != 3:
+        raise ValueError(f"closed-form bound requires N=3, got N={spec.n}")
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p!r}")
+    d = spec.degree
+    return _normal("closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={}, alpha={}, d={}",
+                   lambda: (x := float(p) ** _check_finite(alpha, "alpha"), (x + 1.0 + 1.0 / x) ** d), p, alpha, d)
 
 
 @dataclass(frozen=True)
@@ -73,14 +106,9 @@ class MultiplicityBoundRow:
     passed: bool
 
 
-def verify_multiplicity_bound(
-    p: int, alpha: float, max_degree: int
-) -> list[MultiplicityBoundRow]:
-    """Check exact <= closed bound for every exponent tuple of degree <= max_degree.
-
-    Raises on any failing tuple: a failure would contradict the inequality
-    the rate bound rests on (or expose a bug upstream).
-    """
+def verify_multiplicity_bound(p: int, alpha: float, max_degree: int) -> list[MultiplicityBoundRow]:
+    """Check exact <= closed bound for every exponent tuple of degree <= max_degree.  A failing tuple
+    raises: it would contradict the inequality the rate bound rests on (or expose a bug upstream)."""
     return verify_multiplicity_bounds([(p, alpha)], max_degree)[0]
 
 
@@ -95,9 +123,8 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
         for spec, coeffs in table:
             exact = _weighted_part_sum(coeffs, p, alpha)
             bound = specialization_bound_n3(spec, p, alpha)
-            ok = exact <= bound
-            rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, ok))
-            if not ok:
+            rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, exact <= bound))
+            if not rows[-1].passed:
                 raise RuntimeError(f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}")
         out.append(rows)
     return out

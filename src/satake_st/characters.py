@@ -22,7 +22,7 @@ from operator import add, eq, neg, sub
 
 import numpy as np
 
-from .weights import DominantWeight, _check_finite, _check_rank, _exact, _store, _unchecked
+from .weights import DominantWeight, _check_rank, _exact, _store, _unchecked
 
 __all__ = [
     "CharacterTable",
@@ -36,7 +36,6 @@ __all__ = [
     "tensor_decompose",
     "trivial_multiplicity",
     "eval_char",
-    "specialization_bound_n3",
 ]
 
 DEFAULT_TERM_BUDGET = 10**6
@@ -423,26 +422,3 @@ def _dominant_coefficients(spec: TensorSpec, memo: dict) -> dict[tuple[int, ...]
     if (n, sizes, "canonical") not in memo:  # e_k and conj(e_{N-k}) have the same size, so specs share results
         memo[n, sizes, "canonical"] = {tuple(c - w[-1] for c in w): m for w, m in state.items()}
     return memo[n, sizes, "canonical"]
-
-
-def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float) -> float:
-    """sum_w c_w p^(alpha*|l|), |l| = w[0] for a canonical dominant w.  Summed by
-    math.fsum, so the value depends only on the integer coefficients."""
-    return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
-
-
-def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
-    """(p^alpha + 1 + p^{-alpha})^(total degree) for p > 1; closed-form bound, N=3 only.
-    A bound outside the float range raises, naming p, alpha and the degree."""
-    if spec.n != 3:
-        raise ValueError(f"closed-form bound requires N=3, got N={spec.n}")
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p!r}")
-    try:
-        x = float(p) ** _check_finite(alpha, "alpha")
-        bound = (x + 1.0 + 1.0 / x) ** spec.degree
-    except (OverflowError, ZeroDivisionError):  # p^alpha above the float range, or below it
-        bound = math.inf
-    if not math.isfinite(bound):  # 1/x is inf at a subnormal x
-        raise ValueError(f"closed bound (p^|alpha| + 1 + p^-|alpha|)^d overflows a float at p={p}, alpha={alpha}, d={spec.degree}")
-    return bound

@@ -21,9 +21,10 @@ from click.core import ParameterSource
 from . import characters, sampling
 from .bounds import Gl3BoundParams, rate_report, verify_multiplicity_bounds
 from .characters import TensorSpec, dim, tensor_decompose, trivial_multiplicity
-from .families import TestFunctionH, _is_prime, equidist_report, load_family, synth_family
+from .families import TestFunctionH, equidist_report, load_family, synth_family
 from .sampling import RngSeed, char_monomial, mc_integrate, sample_bank, st_density_gl2, varrho_bank
 from .satake import hecke_residuals_n3
+from .weights import _is_prime
 
 HECKE_TOL = 1e-10
 
@@ -66,14 +67,10 @@ def _emit(rows: list[dict], fieldnames: list[str], out: str, fmt: str, extra: di
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        doc = {"rows": rows}
-        if extra:
-            doc.update(extra)
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({"rows": rows, **(extra or {})}, indent=2) + "\n"
     if out == "-":
         click.echo(text, nl=False)
     else:

@@ -14,8 +14,8 @@ one member is left, whose own fault they report as ``member j: ...``;
 synthesis writes trusted columns directly, and the writer reads them.
 ``Family.members`` builds ``FamilyMember`` views of the rows, forming roots as read.
 
-The statistic holds at every N and imports nothing from ``bounds``: the N=3
-rate envelope there reads this module, never the other way round.
+The statistic holds at every N and imports nothing from ``bounds``, whose N=3
+envelope reads only the exact algebra; the CLI sets the two side by side.
 """
 
 from __future__ import annotations
@@ -512,8 +512,8 @@ class _Columns:
                 )
             self._append(idx, idx, pos, value)
         for p, x in (mem.satake or {}).items():
-            if not (p in self.rows or isinstance(p, (int, np.integer)) and _is_prime(int(p))):
-                raise FamilyValidationError(f"key {p!r} is not prime")
+            if not (type(p) is int and (p in self.rows or _is_prime(p))):  # as synth_family and the statistics ask
+                raise FamilyValidationError(f"key {p!r} is not a prime Python integer")
             if not (isinstance(x, SatakeParameter) and x.n == n):
                 raise FamilyValidationError(f"p={p}: need a SatakeParameter of {n} entries, got {x!r}")
             self._row(p, pos, x.alphas)

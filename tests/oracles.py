@@ -44,6 +44,7 @@ from operator import gt
 
 import numpy as np
 
+from satake_st.bounds import _weighted_part_sum
 from satake_st.characters import (
     DEFAULT_TERM_BUDGET,
     TensorSpec,
@@ -52,7 +53,6 @@ from satake_st.characters import (
     _dominant_coefficients,
     _power,
     _schur,
-    _weighted_part_sum,
     spec_product_table,
     weight_table,
 )

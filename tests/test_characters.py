@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satake_st.bounds import specialization_bound_n3
 from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
@@ -25,7 +26,6 @@ from satake_st.characters import (
     dim,
     eval_char,
     product,
-    specialization_bound_n3,
     tensor_decompose,
     trivial_multiplicity,
     weight_table,

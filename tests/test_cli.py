@@ -570,6 +570,15 @@ class TestErrorBoundary:
         assert fragment in assert_json_error(result)["message"]
         assert result.stdout == ""
 
+    def test_an_envelope_outside_the_float_range_is_a_value_error(self, runner):
+        # T^(eps-5) underflows to 0.0 at T = 1e100, so the envelope must not print as 0.0
+        result = runner.invoke(cli, ["bound", "--rate", "--p", "2", "--t-grid", "1e100"], catch_exceptions=False)
+        assert assert_json_error(result) == {
+            "type": "ValueError",
+            "message": "envelope is out of range of a normal float at t=1e+100, p_big=2.0, theta=0.109375, eps=1e-06",
+        }
+        assert result.stdout == ""
+
     @pytest.mark.parametrize(
         "args",
         [

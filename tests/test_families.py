@@ -339,6 +339,7 @@ BUILDERS = {
     "synth-float-prime": (lambda: synth_family(3, 5, primes=(2.0,)), True),
     "synth-rank-numpy": (lambda: synth_family(np.int64(3), 5), True),
     "synth-numpy-prime": (lambda: synth_family(3, 5, primes=(np.int64(3),)), True),
+    "member-numpy-prime": (lambda: Family(3, (coherent_member(primes=(np.int64(2),)),)), True),
     "synth-no-primes": (lambda: synth_family(3, 5, primes=()), False),
     "labelled": (lambda: Family(3, (coherent_member(),), label="kept"), False),
 }

@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import satake_st
-from satake_st.bounds import convergence_error, verify_multiplicity_bound
-from satake_st.characters import TensorSpec, elementary_symmetric, eval_char, specialization_bound_n3
+from satake_st.bounds import (
+    Gl3BoundParams, convergence_error, p_total, rate_report, specialization_bound_n3, verify_multiplicity_bound,
+)
+from satake_st.characters import TensorSpec, elementary_symmetric, eval_char
 from satake_st.cli import cli
 from satake_st.families import (
     Family, FamilyMember, FamilyValidationError, TestFunctionH, equidist_report, family_from_dict, family_to_dict,
@@ -252,6 +254,12 @@ OUT_OF_DOMAIN = {
     "convergence error at P=inf": lambda: convergence_error(10, math.inf, 0.1, 1e-6),
     "convergence error at theta=nan": lambda: convergence_error(10, 8, math.nan, 1e-6),
     "convergence error at eps=nan": lambda: convergence_error(10, 8, 0.1, math.nan),
+    # T^(eps-5) is subnormal at 1e64 and 0.0 at 1e100; T^3 overflows at 1e300
+    "convergence error at t=1e64": lambda: convergence_error(1e64, 2.0, 7 / 64, 1e-6),
+    "convergence error at t=1e100": lambda: convergence_error(1e100, 2.0, 7 / 64, 1e-6),
+    "convergence error at t=1e300": lambda: convergence_error(1e300, 2.0, 7 / 64, 1e-6),
+    "p_total at degree 5000": lambda: p_total(Gl3BoundParams(2, (5000, 0, 0, 0))),
+    "rate_report at degree 5000": lambda: rate_report(Gl3BoundParams(2, (5000, 0, 0, 0)), [10.0]),
     "specialization bound at alpha=-inf": lambda: specialization_bound_n3(SPEC_N3, 2, -math.inf),
     "specialization bound at alpha=nan": lambda: specialization_bound_n3(SPEC_N3, 2, math.nan),
     "specialization bound at alpha=2000": lambda: specialization_bound_n3(SPEC_N3, 2, 2000.0),
