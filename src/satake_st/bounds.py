@@ -71,9 +71,11 @@ def p_total(params: Gl3BoundParams) -> float:
 
 
 def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float:
-    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at a finite scale T >= 1 and finite P, theta, eps."""
+    """(T^2 sqrt(P) + T^3 P^theta + P^(5/3)) * T^(-5+eps) * P^eps, at finite T >= 1 and P >= 1 and finite theta, eps."""
     _check_scale(t)
-    for name, x in (("p_big", p_big), ("theta", theta), ("eps", eps)):
+    if not 1 <= p_big < math.inf:
+        raise ValueError(f"p_big must be >= 1 and finite, got {p_big}")
+    for name, x in (("theta", theta), ("eps", eps)):
         _check_finite(x, name)
     return _normal("envelope is out of range of a normal float at t={}, p_big={}, theta={}, eps={}",
                    lambda: (core := t**2 * math.sqrt(p_big) + t**3 * p_big**theta + p_big ** (5.0 / 3.0),
@@ -116,13 +118,15 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
     """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
     out, table, memo = [], None, {}
     for p, alpha in pairs:
-        specialization_bound_n3(TensorSpec(3, (max_degree, 0, 0, 0)), p, alpha)  # the sweep's largest value fits
+        # the bound reads only the degree: max_degree first, so an overflow names it (and a negative one raises)
+        degrees = (max_degree, *range(max_degree - 1, -1, -1))
+        bounds = {d: specialization_bound_n3(TensorSpec(3, (d, 0, 0, 0)), p, alpha) for d in degrees}
         if table is None:
             table = [(spec, _dominant_coefficients(spec, memo)) for spec in TensorSpec.up_to_degree(3, max_degree)]
         rows = []
         for spec, coeffs in table:
             exact = _weighted_part_sum(coeffs, p, alpha)
-            bound = specialization_bound_n3(spec, p, alpha)
+            bound = bounds[spec.degree]
             rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, exact <= bound))
             if not rows[-1].passed:
                 raise RuntimeError(f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}")

@@ -5,8 +5,10 @@ Weight multiplicities come from the branching rule in integer arithmetic
 for dominant weights only; tensor products of fundamental modules are
 decomposed by the iterated Pieri rule on partitions, with no weight tables (one
 strip table per factor size and call, from row bit masks, filtered by each
-partition's tie mask; unchecked result keys).  The bound sweep's dominant sums
-need no decomposition: the coefficient of x^w in a product of factors e_k counts
+partition's tie mask; unchecked result keys).  The trivial multiplicity needs no
+decomposition: it is the rectangular Kostka number K_{(N^q),mu} of the factor
+sizes mu, a walk of horizontal strips inside the q x N box.  Nor do the bound
+sweep's dominant sums: the coefficient of x^w in a product of factors e_k counts
 the (0,1)-matrices with row sums the factor sizes and column sums w (Macdonald
 I.6), walked over dominant weights one factor at a time, memoised per call and
 not cached.  Numeric character values use the smaller Jacobi-Trudi determinant, in the
@@ -145,11 +147,13 @@ class TensorSpec:
 
     def factor_weights(self) -> list[DominantWeight]:
         """Fundamental highest weights of the factors, with multiplicity."""
-        out = []
-        for k in range(1, self.n):
-            out.extend([DominantWeight.fundamental(self.n, k)] * self.plain(k))
-            out.extend([DominantWeight.fundamental(self.n, self.n - k)] * self.conjugate(k))
-        return out
+        return [DominantWeight.fundamental(self.n, k) for k in _factor_sizes(self)]
+
+
+def _factor_sizes(spec: TensorSpec) -> list[int]:
+    """The sizes of the factors e_k of spec's product in exponent order: k per i_k, N - k per i'_k (conj(e_k) = e_{N-k})."""
+    n, exps = spec.n, spec.exponents
+    return [k for j in range(1, n) for k in [j] * exps[2 * j - 2] + [n - j] * exps[2 * j - 1]]
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
@@ -278,24 +282,21 @@ def tensor_decompose(
     tables: dict[int, list] = {}
     tried = 0
     current = {(0,) * n: 1}
-    for j in range(1, n):
-        for k in [j] * spec.plain(j) + [n - j] * spec.conjugate(j):
-            tried += len(current) * math.comb(n, k)
-            if tried > budget:
-                raise TermBudgetExceeded(
-                    f"Pieri steps with {tried} candidate strips in total exceed budget {budget}"
-                )
-            table = tables.get(k)
-            if table is None:
-                table = tables[k] = _strip_table(n, k)
-            out: dict[tuple[int, ...], int] = {}
-            for lam, c in current.items():
-                ties = sum(itertools.compress(bits, map(eq, lam, lam[1:])))
-                for skipped, shift in table:
-                    if not ties & skipped:
-                        nu = tuple(map(add, lam, shift))
-                        out[nu] = out.get(nu, 0) + c
-            current = out
+    for k in _factor_sizes(spec):
+        tried += len(current) * math.comb(n, k)
+        if tried > budget:
+            raise TermBudgetExceeded(f"Pieri steps with {tried} candidate strips in total exceed budget {budget}")
+        table = tables.get(k)
+        if table is None:
+            table = tables[k] = _strip_table(n, k)
+        out: dict[tuple[int, ...], int] = {}
+        for lam, c in current.items():
+            ties = sum(itertools.compress(bits, map(eq, lam, lam[1:])))
+            for skipped, shift in table:
+                if not ties & skipped:
+                    nu = tuple(map(add, lam, shift))
+                    out[nu] = out.get(nu, 0) + c
+        current = out
     return {_unchecked(DominantWeight, n, lam): c for lam, c in current.items()}
 
 
@@ -313,9 +314,59 @@ def _strip_table(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> int:
-    """Multiplicity a_0 of the trivial module in the tensor product."""
-    zero = DominantWeight.zero(spec.n)
-    return tensor_decompose(spec, budget).get(zero, 0)
+    """Multiplicity a_0 of the trivial module in the tensor product, the Haar moment of the spec's monomial.
+
+    With mu the factor sizes, e_mu = sum_lam K_{lam',mu} s_lam (Macdonald I.6), and s_lam is trivial on SU(N) only at
+    lam = (q^N); so a_0 = K_{(N^q),mu} if |mu| = qN, else 0: the chains of horizontal strips of sizes mu, in any order,
+    from the empty partition to (N^q).  They are walked over a dict of partitions in the q x N box (row-length
+    multiplicities), largest strip first, for the spec or its conjugate (sizes N - k), whichever has the smaller q.
+    The budget bounds the strips tried, summed over all steps; a degree above it fails before any is tried."""
+    n = spec.n
+    if spec.degree > budget:
+        raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
+    sizes = _factor_sizes(spec)
+    q, rest = divmod(sum(sizes), n)
+    if rest:
+        return 0
+    if 2 * q > len(sizes):
+        sizes, q = [n - k for k in sizes], len(sizes) - q
+    current, tried = {(q,) + (0,) * n: 1}, 0
+    for k in sorted(sizes, reverse=True):
+        out: dict[tuple[int, ...], int] = {}
+        for lam, c in current.items():
+            strips = _horizontal_strips(lam, k)
+            tried += len(strips)
+            if tried > budget:
+                raise TermBudgetExceeded(f"rectangle walk with {tried} strips tried in total exceeds budget {budget}")
+            for nu in strips:
+                out[nu] = out.get(nu, 0) + c
+        current = out
+    return current.get((0,) * n + (q,), 0)
+
+
+def _horizontal_strips(m: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Each lam + a horizontal k-strip inside the box of width len(m) - 1, lam and each result as row-length
+    multiplicities (m[v] rows of length v).  A strip grows only the top row of each block of equal rows, from v to at
+    most the old length above it (the width, for the longest block); so the blocks from one on take at most above -
+    (the shortest length) boxes, and no branch of the search ends empty."""
+    nu, out = list(m), []
+    lengths = [*itertools.compress(range(len(m) - 1, -1, -1), reversed(m))]  # longest first
+
+    def grow(first: int, k: int):
+        for b in range(first, len(lengths)):
+            v, above = lengths[b], lengths[b - 1] if b else len(m) - 1
+            if above - lengths[-1] < k:
+                break
+            for d in range(max(1, k - v + lengths[-1]), min(above - v, k) + 1):
+                nu[v], nu[v + d] = nu[v] - 1, nu[v + d] + 1  # the top row of length v grows by d
+                if d < k:
+                    grow(b + 1, k - d)
+                else:
+                    out.append(tuple(nu))
+                nu[v], nu[v + d] = nu[v] + 1, nu[v + d] - 1
+
+    grow(0, k)
+    return out
 
 
 def _signed_e_row(a: np.ndarray) -> np.ndarray:
@@ -407,7 +458,7 @@ def _dominant_coefficients(spec: TensorSpec, memo: dict) -> dict[tuple[int, ...]
     n = spec.n
     if spec.degree > DEFAULT_TERM_BUDGET:
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {DEFAULT_TERM_BUDGET}")
-    sizes = tuple(sorted(k for j in range(1, n) for k in [j] * spec.plain(j) + [n - j] * spec.conjugate(j)))
+    sizes = tuple(sorted(_factor_sizes(spec)))
     state, tried = {(0,) * n: 1}, 0
     for i, k in enumerate(sizes, 1):
         tried += len(state) * math.comb(n, k)

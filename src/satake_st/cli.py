@@ -205,6 +205,10 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
     if (family_path is None) == (synth_size == 0):
         raise ValueError("give exactly one of --family or --synth-size")
     specs = TensorSpec.up_to_degree(n, max_degree)  # checks the rank before a family is read or drawn
+    ts = _parse_list(t_grid, float)
+    envelopes = [""] * (len(specs) * len(ts))  # one per report row, spec by spec
+    if n == 3:  # the rate envelope, as bound --rate prints it; it reads p, the specs and the grid, not the family
+        envelopes = [r.envelope for s in specs for r in rate_report(Gl3BoundParams(p, s.exponents), ts)]
     if family_path is not None:
         fam = load_family(family_path)
         if fam.n != n:
@@ -212,11 +216,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
     else:
         fam = synth_family(n, synth_size, mode=synth_mode, primes=(p,), seed=seed)
     h = TestFunctionH.gaussian() if h_kind == "gaussian" else TestFunctionH.indicator()
-    ts = _parse_list(t_grid, float)
     report = equidist_report(fam, p, specs, h, ts)
-    envelopes = [""] * len(report)
-    if n == 3:  # the rate envelope, as bound --rate prints it, in the order of the report's rows
-        envelopes = [r.envelope for s in specs for r in rate_report(Gl3BoundParams(p, s.exponents), ts)]
     rows = [
         {
             "spec": ",".join(str(e) for e in r.spec.exponents),

@@ -13,6 +13,10 @@ None of these is used by the library itself:
 - ``strip_table_by_combinations`` builds the library's table of vertical
   strips from one 0/1 list per combination of rows (its form before row
   bit masks);
+- ``haar_moment_by_matrix_count`` gives the Haar moment of a spec whose
+  plain and conjugate box-degrees are equal and at most N as a count of
+  non-negative integer matrices (the library walks rectangular Kostka
+  numbers instead);
 - ``eval_char_bialternant`` evaluates a Schur polynomial as a ratio of
   alternants (distinct eigenvalues only);
 - ``monomial_by_complex_power`` evaluates a spec's character monomial as
@@ -246,6 +250,40 @@ def strip_table_by_combinations(n: int, k: int) -> list:
         skipped = sum(itertools.compress(bits, map(gt, strip[1:], strip)))
         table.append((skipped, tuple(x - strip[-1] for x in strip)))
     return table
+
+
+def haar_moment_by_matrix_count(spec: TensorSpec) -> int:
+    """The Haar moment of spec's monomial as the number of non-negative integer matrices with row sums mu (a part k
+    per i_k) and column sums nu (a part k per i'_k), for a spec with |mu| = |nu| <= N; any other spec raises.
+
+    Then every s_lam in e_mu = sum K_{lam',mu} s_lam has at most N rows and size |mu|, so the s_lam stay orthonormal
+    on SU(N), and the moment <e_mu, e_nu> = <h_mu, h_nu> counts those matrices (RSK; P. Diaconis and A. Gamburd,
+    Electron. J. Combin. 11(2), 2004).  Rows are filled one at a time, memoised on the sorted column sums left.
+    """
+    mu = [k for k in range(1, spec.n) for _ in range(spec.plain(k))]
+    nu = [k for k in range(1, spec.n) for _ in range(spec.conjugate(k))]
+    if sum(mu) != sum(nu) or sum(mu) > spec.n:
+        raise ValueError(f"box-degrees {sum(mu)} and {sum(nu)} are not equal and at most N={spec.n}")
+    memo = {}
+
+    def fillings(total, caps):
+        if not caps:
+            yield from [()] if not total else []
+            return
+        for x in range(max(0, total - sum(caps[1:])), min(caps[0], total) + 1):
+            for rest in fillings(total - x, caps[1:]):
+                yield (x,) + rest
+
+    def count(row, cols):
+        if row == len(mu):
+            return 1
+        if (row, cols) not in memo:
+            memo[row, cols] = sum(
+                count(row + 1, tuple(sorted(c - x for c, x in zip(cols, filling)))) for filling in fillings(mu[row], cols)
+            )
+        return memo[row, cols]
+
+    return count(0, tuple(sorted(nu)))
 
 
 def eval_char_bialternant(mu: DominantWeight, alphas):

@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from satake_st import bounds
 from satake_st.bounds import (
     Gl3BoundParams,
     convergence_error,
     p_total,
     rate_report,
+    specialization_bound_n3,
     verify_multiplicity_bound,
     verify_multiplicity_bounds,
 )
@@ -56,6 +58,12 @@ class TestEnvelopes:
     def test_ratio_is_exact_t_power(self, t, p_big):
         ratio = convergence_error(t, p_big, 7 / 64, 0.0) / orthogonality_error(t, p_big, 7 / 64, 0.0)
         assert ratio == pytest.approx(t**-5, rel=1e-12)
+
+    @pytest.mark.parametrize("p_big", [-1.0, 0.0, 0.5, math.nan, math.inf])
+    def test_p_big_below_one_or_not_finite_is_named(self, p_big):
+        # P = p^d is at least 1, and the message names the argument
+        with pytest.raises(ValueError, match=re.escape(f"p_big must be >= 1 and finite, got {p_big}")):
+            convergence_error(10.0, p_big, 0.1, 1e-6)
 
     def test_monotone_in_arguments(self):
         base = orthogonality_error(10.0, 4.0, 7 / 64, 0.01)
@@ -142,6 +150,17 @@ class TestMultiplicityBounds:
         # p=0 was reported as an overflow, and (-2.0)^0.5 is complex
         with pytest.raises(ValueError, match=f"^p must be > 1, got {p}$"):
             verify_multiplicity_bound(p, 0.5, 2)
+
+    def test_one_closed_bound_per_degree_the_largest_first(self, monkeypatch):
+        degrees = []
+
+        def counted(spec, p, alpha):
+            degrees.append(spec.degree)
+            return specialization_bound_n3(spec, p, alpha)
+
+        monkeypatch.setattr(bounds, "specialization_bound_n3", counted)
+        verify_multiplicity_bounds(self.PAIRS, 4)
+        assert degrees == [4, 3, 2, 1, 0] * len(self.PAIRS)
 
     def test_the_largest_finite_closed_bound_still_verifies(self):
         (rows,) = verify_multiplicity_bounds([(2, -255.0)], 4)

@@ -13,11 +13,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satake_st.bounds import specialization_bound_n3
 from satake_st.characters import (
+    DEFAULT_TERM_BUDGET,
     TensorSpec,
     TermBudgetExceeded,
     _dominant_coefficients,
@@ -38,6 +39,7 @@ from oracles import (
     dominant_part_sum,
     eval_char_bialternant,
     freudenthal_weight_table,
+    haar_moment_by_matrix_count,
     monomial_by_complex_power,
     strip_by_strip_pieri,
     strip_table_by_combinations,
@@ -337,6 +339,86 @@ class TestStripTables:
         for n in range(2, 13):
             for k in range(1, n):
                 assert _strip_table(n, k) == strip_table_by_combinations(n, k), (n, k)
+
+
+def spec_of_parts(n: int, plain: list[int], conjugate: list[int]) -> TensorSpec:
+    """The spec with one factor e_k per part k of plain and one conj(e_k) per part k of conjugate."""
+    exps = [0] * (2 * (n - 1))
+    for offset, parts in ((0, plain), (1, conjugate)):
+        for k in parts:
+            exps[2 * (k - 1) + offset] += 1
+    return TensorSpec(n, tuple(exps))
+
+
+def partitions(b: int, largest: int) -> list[list[int]]:
+    """Every partition of b into parts of at most largest, each as a non-increasing list."""
+    if not b:
+        return [[]]
+    return [[k] + rest for k in range(min(b, largest), 0, -1) for rest in partitions(b - k, k)]
+
+
+@st.composite
+def equal_box_degree_specs(draw, ranks=(10, 16, 24)):
+    """A spec whose plain and conjugate box-degrees are one b <= N, each split into parts below N at random cuts."""
+    n = draw(st.sampled_from(ranks))
+    b = draw(st.integers(0, n))
+    sides = []
+    for _ in range(2):
+        cuts = sorted(draw(st.sets(st.integers(1, b - 1), max_size=b)) if b > 1 else ())
+        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, b]) if hi > lo]
+        assume(all(k < n for k in parts))
+        sides.append(parts)
+    return spec_of_parts(n, *sides)
+
+
+class TestRectangleWalk:
+    """trivial_multiplicity walks rectangular Kostka numbers; Pieri and a matrix count are its two checks."""
+
+    @pytest.mark.parametrize("n, d", [(2, 10), (3, 7), (4, 6), (5, 4), (6, 3)])
+    def test_equals_the_pieri_trivial_entry_on_every_spec(self, n, d):
+        zero = DominantWeight.zero(n)
+        for spec in TensorSpec.up_to_degree(n, d):
+            assert trivial_multiplicity(spec) == tensor_decompose(spec).get(zero, 0), spec.exponents
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieri_specs())
+    def test_equals_the_pieri_trivial_entry(self, spec):
+        assert trivial_multiplicity(spec) == tensor_decompose(spec).get(DominantWeight.zero(spec.n), 0)
+
+    @pytest.mark.parametrize("n", [10, 16, 24])
+    def test_equals_the_matrix_count_at_every_box_degree_up_to_6(self, n):
+        for b in range(7):
+            for plain in partitions(b, n - 1):
+                for conjugate in partitions(b, n - 1):
+                    spec = spec_of_parts(n, plain, conjugate)
+                    assert trivial_multiplicity(spec) == haar_moment_by_matrix_count(spec), (plain, conjugate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(equal_box_degree_specs())
+    def test_equals_the_matrix_count(self, spec):
+        assert trivial_multiplicity(spec) == haar_moment_by_matrix_count(spec)
+
+    def test_e6_eighth_moment_at_n24_where_pieri_exceeds_its_budget(self):
+        spec = spec_of_parts(24, [6] * 4, [6] * 4)  # E|e_6|^8: 4 x 4 matrices with line sums 6
+        assert trivial_multiplicity(spec) == haar_moment_by_matrix_count(spec) == 132_724
+        with pytest.raises(TermBudgetExceeded, match="Pieri steps"):
+            tensor_decompose(spec)
+
+    def test_the_budget_counts_the_strips_tried(self):
+        spec = TensorSpec(2, (6, 6))  # E|chi_1|^12 on SU(2), the Catalan number 132
+        lo, hi = spec.degree, DEFAULT_TERM_BUDGET  # the least budget that succeeds lies in (lo, hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if budget_verdict(trivial_multiplicity, spec, mid) is None else (mid, hi)
+        assert trivial_multiplicity(spec, hi) == 132
+        assert budget_verdict(trivial_multiplicity, spec, hi - 1) == (
+            f"rectangle walk with {hi} strips tried in total exceeds budget {hi - 1}"
+        )
+
+    def test_a_degree_above_the_budget_fails_before_any_strip(self):
+        # |mu| = 1001 is odd, so only the degree rule can raise here
+        with pytest.raises(TermBudgetExceeded, match="^degree 1001 exceeds budget 1000$"):
+            trivial_multiplicity(TensorSpec(2, (1001, 0)), 1000)
 
 
 def rows_off_the_torus(n: int, count: int, rng) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import satake_st
+import satake_st.cli as cli_module
 from satake_st.bounds import verify_multiplicity_bound
 from satake_st.cli import cli
 from satake_st.families import synth_family, save_family, family_to_dict
@@ -577,6 +578,19 @@ class TestErrorBoundary:
             "type": "ValueError",
             "message": "envelope is out of range of a normal float at t=1e+100, p_big=2.0, theta=0.109375, eps=1e-06",
         }
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("source", [["--synth-size", "10"], ["--family", "family.json"]], ids=["synth", "file"])
+    def test_an_equidist_envelope_out_of_range_fails_before_a_family_is_built(self, runner, monkeypatch, source):
+        # the N=3 envelopes read p, the specs and the grid; T^(eps-5) leaves the float range at T = 1e62
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built before the envelopes were checked")
+
+        monkeypatch.setattr(cli_module, "synth_family", refuse)
+        monkeypatch.setattr(cli_module, "load_family", refuse)
+        args = ["equidist", "--n", "3", "--p", "2", *source, "--max-degree", "2", "--t-grid", "10,1e62"]
+        result = runner.invoke(cli, args, catch_exceptions=False)
+        assert assert_json_error(result)["message"].startswith("envelope is out of range of a normal float at t=1e+62")
         assert result.stdout == ""
 
     @pytest.mark.parametrize(

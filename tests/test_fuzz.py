@@ -252,6 +252,8 @@ OUT_OF_DOMAIN = {
     "convergence error at t=0": lambda: convergence_error(0, 1, 0.1, 1e-6),
     "convergence error at P=nan": lambda: convergence_error(10, math.nan, 0.1, 1e-6),
     "convergence error at P=inf": lambda: convergence_error(10, math.inf, 0.1, 1e-6),
+    "convergence error at P=-1": lambda: convergence_error(10, -1.0, 0.1, 1e-6),
+    "convergence error at P=0.5": lambda: convergence_error(10, 0.5, 0.1, 1e-6),
     "convergence error at theta=nan": lambda: convergence_error(10, 8, math.nan, 1e-6),
     "convergence error at eps=nan": lambda: convergence_error(10, 8, 0.1, math.nan),
     # T^(eps-5) is subnormal at 1e64 and 0.0 at 1e100; T^3 overflows at 1e300

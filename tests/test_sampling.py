@@ -208,6 +208,16 @@ class TestMcIntegrate:
         assert est.z_score(2.0) == math.inf
 
 
+class TestLargeRankMoments:
+    """Monte Carlo against the rectangle walk at ranks where Pieri runs out of budget on some specs."""
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_every_moment_of_degree_at_most_2_within_5_sigma(self, n):
+        for spec in TensorSpec.up_to_degree(n, 2):
+            est = mc_integrate(char_monomial(spec), n, 20_000, seed=n)
+            assert est.z_score(trivial_multiplicity(spec)) <= 5, spec.exponents
+
+
 class TestVarrhoDraw:
     """The draw is a row e_1..e_{N-1}; eigenvalue rows are its companion roots."""
 
