@@ -3,9 +3,9 @@
 Weight multiplicities come from the branching rule in integer arithmetic
 (Macdonald I.5.11: peel off one variable over every horizontal strip), built
 for dominant weights only; tensor products of fundamental modules are
-decomposed by the iterated Pieri rule on partitions, with no weight tables (one
-strip table per factor size and call, from row bit masks, filtered by each
-partition's tie mask; unchecked result keys).  The trivial multiplicity needs no
+decomposed by the iterated Pieri rule on partitions packed in ints, a part per whole-byte
+field (one strip table per factor size and call; a strip is one int add after a four-op
+tie test on guard bits; keys decoded once, unchecked).  The trivial multiplicity needs no
 decomposition: it is the rectangular Kostka number K_{(N^q),mu} of the factor
 sizes mu, a walk of horizontal strips inside the q x N box.  Nor do the bound
 sweep's dominant sums: the coefficient of x^w in a product of factors e_k counts
@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, eq, neg, sub
+from operator import add, sub
 
 import numpy as np
 
-from .weights import DominantWeight, _check_rank, _exact, _store, _unchecked
+from .weights import DominantWeight, _check_budget, _check_rank, _exact, _store, _unchecked
 
 __all__ = [
     "CharacterTable",
@@ -213,7 +213,7 @@ def weight_table(mu: DominantWeight, budget: int = DEFAULT_TERM_BUDGET) -> Chara
     entries w by the branching rule, keyed by w - w[-1] and each spread over its distinct
     permutations; a new table per call.  Asserts that the mass, sum_w K_{mu,w} |W.w|, is dim(mu)."""
     est = dim(mu)
-    if est > budget:
+    if est > _check_budget(budget):
         raise TermBudgetExceeded(f"weight table of {mu.parts} has {est} weights (budget {budget})")
     terms = {}
     for w, m in _dominant_table(mu.parts, {}).items():
@@ -231,7 +231,7 @@ def product(
     """Convolution of weight multiplicity maps (product of characters)."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} != {b.n}")
-    if len(a.terms) * len(b.terms) > 64 * budget:
+    if len(a.terms) * len(b.terms) > 64 * _check_budget(budget):
         raise TermBudgetExceeded(
             f"product of {len(a.terms)} x {len(b.terms)} terms exceeds budget {budget}"
         )
@@ -262,55 +262,58 @@ def tensor_decompose(
 ) -> dict[DominantWeight, int]:
     """Multiplicities a_mu in the tensor product encoded by spec.
 
-    Iterated Pieri rule (Macdonald I.5.17): every factor is an exterior
-    power e_k, and s_lam * e_k is the sum of s_nu over the nu obtained by
-    adding a vertical k-strip to lam within N rows.  Each size k gets one
-    strip table per call (``_strip_table``), in combinations order, of
-    (skipped, shift): the bit mask of the empty rows i above a filled row
-    i+1, and the strip less one full column (the determinant, trivial on
-    SU(N)) when it fills the last row, so each nu ends in 0.  A strip fits
-    lam iff skipped misses lam's tie mask (bit i set iff lam_i == lam_{i+1}).
-    The budget bounds the candidate strips summed over all steps, sum of
-    len(current) * C(N, k), masked ones included; every step tries at least
-    one, so a degree above the budget fails before the factors are listed.
-    Each nu is a partition of Python ints ending in 0, so its key is unchecked.
+    Iterated Pieri rule (Macdonald I.5.17): every factor is an exterior power e_k, and s_lam * e_k is the sum of s_nu
+    over the nu obtained by adding a vertical k-strip to lam within N rows.  A partition is one int, part i in the w-bit
+    field at 2^(w i), w the fewest whole bytes whose top (guard) bit no part, at most the degree, reaches.  Each size k
+    gets one table per call (``_strip_table``) of packed (skipped, shift) strips, and nu = lam + shift.  A strip fits
+    lam iff skipped misses lam's ties: lam - (lam >> w) holds lam_i - lam_(i+1) >= 0 in field i (no borrow), so adding
+    2^(w-1) - 1 per field sets a guard bit iff the parts differ.  The budget bounds the candidate strips summed over all
+    steps, sum of len(current) * C(N, k), masked ones included; every step tries at least one, so a degree above the
+    budget fails before the factors are listed.  Keys are decoded once, at the end, to partitions of Python ints ending
+    in 0, unchecked.
     """
     n = spec.n
-    if spec.degree > budget:
+    if spec.degree > _check_budget(budget):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
-    bits = [1 << i for i in range(n - 1)]
+    w = 8 * (spec.degree.bit_length() // 8 + 1)  # the fewest whole bytes with parts <= degree < 2^(w-1)
+    ones = (1 << w * n) // ((1 << w) - 1)  # a 1 in every field
+    guards = ones << (w - 1)
+    low = guards - ones  # 2^(w-1) - 1 in every field
     tables: dict[int, list] = {}
     tried = 0
-    current = {(0,) * n: 1}
+    current = {0: 1}
     for k in _factor_sizes(spec):
         tried += len(current) * math.comb(n, k)
         if tried > budget:
             raise TermBudgetExceeded(f"Pieri steps with {tried} candidate strips in total exceed budget {budget}")
         table = tables.get(k)
         if table is None:
-            table = tables[k] = _strip_table(n, k)
-        out: dict[tuple[int, ...], int] = {}
+            table = tables[k] = _strip_table(n, k, w)
+        out: dict[int, int] = {}
         for lam, c in current.items():
-            ties = sum(itertools.compress(bits, map(eq, lam, lam[1:])))
+            ties = ~(lam - (lam >> w) + low) & guards
             for skipped, shift in table:
                 if not ties & skipped:
-                    nu = tuple(map(add, lam, shift))
+                    nu = lam + shift
                     out[nu] = out.get(nu, 0) + c
         current = out
-    return {_unchecked(DominantWeight, n, lam): c for lam, c in current.items()}
+    return {_unchecked(DominantWeight, n, _unpack(lam, n, w)): c for lam, c in current.items()}
 
 
-def _strip_table(n: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(skipped, shift) of every vertical k-strip in n rows, in combinations order.  A strip on rows R has
-    row mask m = sum 2^i and 0/1 rows the bytes of s = sum 256^i over R; skipped = (m >> 1) & ~m, and a strip
-    that fills the last row loses one full column: its shift is minus the bytes of its complement."""
-    ones = (1 << 8 * n) // 255  # a 1 byte in every row
-    masks = map(sum, itertools.combinations([1 << i for i in range(n)], k))
-    spreads = map(sum, itertools.combinations([1 << 8 * i for i in range(n)], k))  # in the order of masks
+def _strip_table(n: int, k: int, w: int) -> list[tuple[int, int]]:
+    """(skipped, shift) of every vertical k-strip in n rows of w-bit fields, in combinations order.  A strip on rows
+    R is s = sum 2^(w i) over R; skipped = ((s >> w) & (ones - s)) << (w - 1) has the guard bit of each row i left
+    empty under a filled row i+1, and a strip that fills the last row loses one full column: its shift is s - ones."""
+    ones = (1 << w * n) // ((1 << w) - 1)
     return [
-        ((m >> 1) & ~m, tuple(map(neg, (ones - s).to_bytes(n, "little")) if m >> (n - 1) else s.to_bytes(n, "little")))
-        for m, s in zip(masks, spreads)
+        (((s >> w) & (ones - s)) << (w - 1), s - ones if s >> w * (n - 1) else s)
+        for s in map(sum, itertools.combinations([1 << w * i for i in range(n)], k))
     ]
+
+
+def _unpack(lam: int, n: int, w: int) -> tuple[int, ...]:
+    """The n fields of w bits of lam, lowest first, as Python ints."""
+    return tuple(lam.to_bytes(n, "little")) if w == 8 else tuple(lam >> i & (1 << w) - 1 for i in range(0, w * n, w))
 
 
 def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -322,7 +325,7 @@ def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
     multiplicities), largest strip first, for the spec or its conjugate (sizes N - k), whichever has the smaller q.
     The budget bounds the strips tried, summed over all steps; a degree above it fails before any is tried."""
     n = spec.n
-    if spec.degree > budget:
+    if spec.degree > _check_budget(budget):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
     sizes = _factor_sizes(spec)
     q, rest = divmod(sum(sizes), n)

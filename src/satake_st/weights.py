@@ -76,6 +76,13 @@ def _check_finite(x: float, name: str) -> float:
     return x
 
 
+def _check_budget(budget: int) -> int:
+    """The term budget, once checked to be a non-negative Python int (not a bool); NaN or inf would lift the limit."""
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be a non-negative Python integer, got {budget!r}")
+    return budget
+
+
 def _exact(raw: tuple, kind: type) -> tuple | None:
     """raw as a tuple of Python ints or complexes, or None if an entry does not convert or, for int, is not equal to its int."""
     try:

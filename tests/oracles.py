@@ -11,8 +11,8 @@ None of these is used by the library itself:
   Pieri rule, building every candidate strip as a tuple and testing the sum
   for dominance (the library's loop before its strip tables and tie masks);
 - ``strip_table_by_combinations`` builds the library's table of vertical
-  strips from one 0/1 list per combination of rows (its form before row
-  bit masks);
+  strips from one 0/1 list per combination of rows, as a row mask and a
+  tuple (its form before packed fields; tests decode the packed table);
 - ``haar_moment_by_matrix_count`` gives the Haar moment of a spec whose
   plain and conjugate box-degrees are equal and at most N as a count of
   non-negative integer matrices (the library walks rectangular Kostka
@@ -79,6 +79,7 @@ from satake_st.weights import (
     CoefficientIndex,
     DominantWeight,
     SpectralParameter,
+    _check_budget,
     _check_prime,
     _check_rank,
     aleph,
@@ -208,11 +209,12 @@ def peel_decompose(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
 def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
     """Multiplicities a_mu by the iterated Pieri rule, one candidate strip at a time.
 
-    Same budget accounting as ``tensor_decompose``: sum of len(current) *
-    C(N, k) over the steps, and the degree checked first.
+    Same budget contract as ``tensor_decompose``: the budget checked to be a
+    non-negative int, then the degree, then sum of len(current) * C(N, k) over
+    the steps.
     """
     n = spec.n
-    if spec.degree > budget:
+    if spec.degree > _check_budget(budget):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
     tried = 0
     current = {(0,) * n: 1}
@@ -240,9 +242,10 @@ def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
 
 
 def strip_table_by_combinations(n: int, k: int) -> list:
-    """``tensor_decompose``'s (skipped, shift) table of vertical k-strips in n rows, built as it
-    was before bit masks: a 0/1 list per combination of rows, its skipped mask summed from the
-    rows i where strip[i] < strip[i+1], and the strip less its last entry in every row."""
+    """``tensor_decompose``'s (skipped, shift) table of vertical k-strips in n rows, unpacked (a row
+    mask and a tuple), built as it was before bit masks: a 0/1 list per combination of rows, its
+    skipped mask summed from the rows i where strip[i] < strip[i+1], and the strip less its last
+    entry in every row."""
     bits = [1 << i for i in range(n - 1)]
     table = []
     for rows in itertools.combinations(range(n), k):

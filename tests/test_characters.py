@@ -289,11 +289,31 @@ def reference_tried(spec):
 
 
 def budget_verdict(decompose, spec, budget):
+    """None on success, else the message: a budget exceeded, or one refused (a negative total - 1)."""
     try:
         decompose(spec, budget)
-    except TermBudgetExceeded as exc:
+    except (TermBudgetExceeded, ValueError) as exc:
         return str(exc)
     return None
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, "1000", None, True, -1, 1000.0])
+@pytest.mark.parametrize("walk", [tensor_decompose, trivial_multiplicity])
+def test_budget_is_a_non_negative_int_or_named(walk, budget):
+    """At budget NaN, tensor_decompose returned all 459 terms of (4,)*6, where 1000 raises."""
+    with pytest.raises(ValueError, match=re.escape(f"budget must be a non-negative Python integer, got {budget!r}")):
+        walk(TensorSpec(4, (4,) * 6), budget)
+
+
+def decode_strip(skipped: int, shift: int, n: int, w: int) -> tuple:
+    """A packed (skipped, shift) entry of n fields of w bits as the (row mask, 0/1/-1 tuple) entry of
+    ``strip_table_by_combinations``; a bit of skipped off the fields' top bits raises."""
+    ones = (1 << w * n) // ((1 << w) - 1)
+    assert skipped & ~(ones << w - 1) == 0, hex(skipped)
+    mask = sum(1 << i for i in range(n) if skipped >> w * i + w - 1 & 1)
+    fields = shift + ones  # each field of shift is -1, 0 or 1
+    assert 0 <= fields < 1 << w * n
+    return mask, tuple((fields >> w * i & (1 << w) - 1) - 1 for i in range(n))
 
 
 class TestStripTables:
@@ -336,9 +356,33 @@ class TestStripTables:
             assert budget_verdict(decompose, TensorSpec(4, (4,) * 6), 1000) == want
 
     def test_bit_mask_tables_match_the_combinations_builder(self):
-        for n in range(2, 13):
-            for k in range(1, n):
-                assert _strip_table(n, k) == strip_table_by_combinations(n, k), (n, k)
+        for w in (8, 16):
+            for n in range(2, 13):
+                for k in range(1, n):
+                    decoded = [decode_strip(skipped, shift, n, w) for skipped, shift in _strip_table(n, k, w)]
+                    assert decoded == strip_table_by_combinations(n, k), (w, n, k)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [TensorSpec(2, (100, 27)), TensorSpec(2, (64, 64)), TensorSpec(2, (70, 60)), TensorSpec(3, (43, 43, 21, 21))],
+        ids=["n2-d127", "n2-d128", "n2-d130", "n3-d128"],
+    )
+    def test_matches_strip_by_strip_pieri_across_the_field_width(self, spec):
+        """Degree 127 packs a part per byte, degree 128 and up two bytes (parts stay below each field's top bit)."""
+        want = strip_by_strip_pieri(spec)
+        got = tensor_decompose(spec)
+        assert got == want and list(got) == list(want)
+        assert max(mu.parts[0] for mu in got) == spec.degree
+
+    def test_budget_verdicts_at_two_byte_fields(self):
+        spec = TensorSpec(2, (128, 0))
+        total = reference_tried(spec)
+        for budget in (total - 1, total):
+            assert budget_verdict(tensor_decompose, spec, budget) == budget_verdict(strip_by_strip_pieri, spec, budget)
+        assert budget_verdict(tensor_decompose, spec, total - 1) == (
+            f"Pieri steps with {total} candidate strips in total exceed budget {total - 1}"
+        )
+        assert budget_verdict(tensor_decompose, spec, total) is None
 
 
 def spec_of_parts(n: int, plain: list[int], conjugate: list[int]) -> TensorSpec:

@@ -35,6 +35,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     [
         (["decompose", "--n", "3", "--spec", "1,1,0,0"], "cli-decompose-n3.csv"),
         (["decompose", "--n", "6", "--spec", "4,4,0,0,0,0,0,0,0,0"], "cli-decompose-n6.csv"),
+        (["decompose", "--n", "2", "--spec", "70,60"], "cli-decompose-n2-d130.csv"),
         (
             ["bound", "--verify", "--p", "2,3,5", "--alpha", "0.109375,0.5,1.6666666667", "--max-degree", "4"],
             "cli-bound-verify.csv",
@@ -44,8 +45,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     ],
 )
 def test_exact_layer_stdout_is_pinned(runner, argv, name):
-    """The README's exact-layer lines and a degree-6 sweep print the bytes in tests/data (CI compares the
-    module's stdout on the README lines too)."""
+    """The README's exact-layer lines, a degree-130 decomposition (two-byte Pieri fields) and a degree-6 sweep
+    print the bytes in tests/data (CI compares the module's stdout on the README lines too)."""
     result = runner.invoke(cli, argv)
     assert result.exit_code == 0
     with open(os.path.join(DATA, name), "rb") as fh:

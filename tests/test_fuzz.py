@@ -21,7 +21,9 @@ import satake_st
 from satake_st.bounds import (
     Gl3BoundParams, convergence_error, p_total, rate_report, specialization_bound_n3, verify_multiplicity_bound,
 )
-from satake_st.characters import TensorSpec, elementary_symmetric, eval_char
+from satake_st.characters import (
+    TensorSpec, elementary_symmetric, eval_char, product, tensor_decompose, trivial_multiplicity, weight_table,
+)
 from satake_st.cli import cli
 from satake_st.families import (
     Family, FamilyMember, FamilyValidationError, TestFunctionH, equidist_report, family_from_dict, family_to_dict,
@@ -226,6 +228,7 @@ def test_the_bounds_module_reads_only_the_exact_algebra():
 SPEC_N3 = TensorSpec(3, (1, 0, 0, 0))
 SPEC_N2 = TensorSpec(2, (1, 0))
 SPEC_11 = TensorSpec(3, (1, 1, 0, 0))
+SPEC_BIG = TensorSpec(4, (4,) * 6)  # 459 terms; at budget 1000 it fails at 1148 candidate strips
 
 
 def coefficient_family() -> Family:
@@ -283,6 +286,11 @@ OUT_OF_DOMAIN = {
     "monomial of no row axis": lambda: SPEC_N2.monomial(np.complex128(1)),
     "canonicalize_batch of no row axis": lambda: canonicalize_batch(np.complex128(1)),
     "canonicalize_batch of empty rows": lambda: canonicalize_batch(np.zeros((2, 0))),
+    # a NaN budget compared False with every count, so it lifted the limit (test_characters tries more values)
+    "tensor_decompose at budget nan": lambda: tensor_decompose(SPEC_BIG, math.nan),
+    "trivial_multiplicity at budget nan": lambda: trivial_multiplicity(SPEC_BIG, math.nan),
+    "weight_table at budget nan": lambda: weight_table(DominantWeight(3, (40, 20, 0)), math.nan),
+    "product at budget nan": lambda: product(*[weight_table(DominantWeight(3, (1, 0, 0)))] * 2, math.nan),
 }
 
 
