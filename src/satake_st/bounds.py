@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import TensorSpec, _dominant_coefficients
+from .characters import TensorSpec, _zero_one_step
 from .weights import _check_finite, _check_prime, _check_scale
 
 __all__ = [
@@ -83,9 +83,9 @@ def convergence_error(t: float, p_big: float, theta: float, eps: float) -> float
 
 
 def _weighted_part_sum(coeffs: dict[tuple[int, ...], int], p: int, alpha: float) -> float:
-    """sum_w c_w p^(alpha*|l|), |l| = w[0] for a canonical dominant w.  Summed by
+    """sum_w c_w p^(alpha*|l|), |l| = w[0] - w[-1] for a dominant w.  Summed by
     math.fsum, so the value depends only on the integer coefficients."""
-    return math.fsum(c * float(p) ** (alpha * w[0]) for w, c in coeffs.items())
+    return math.fsum(c * float(p) ** (alpha * (w[0] - w[-1])) for w, c in coeffs.items())
 
 
 def specialization_bound_n3(spec: TensorSpec, p: int, alpha: float) -> float:
@@ -115,18 +115,27 @@ def verify_multiplicity_bound(p: int, alpha: float, max_degree: int) -> list[Mul
 
 
 def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[MultiplicityBoundRow]]:
-    """One ``verify_multiplicity_bound`` row list per (p, alpha), building each spec's coefficients once."""
-    out, table, memo = [], None, {}
-    for p, alpha in pairs:
-        # the bound reads only the degree: max_degree first, so an overflow names it (and a negative one raises)
-        degrees = (max_degree, *range(max_degree - 1, -1, -1))
-        bounds = {d: specialization_bound_n3(TensorSpec(3, (d, 0, 0, 0)), p, alpha) for d in degrees}
-        if table is None:
-            table = [(spec, _dominant_coefficients(spec, memo)) for spec in TensorSpec.up_to_degree(3, max_degree)]
+    """One ``verify_multiplicity_bound`` row list per (p, alpha): every pair's closed bounds, then the spec list and
+    its limit (the sweep's one budget), then one walk over the (a, b) grid, each cell's sum taken once per pair.  A
+    spec's dominant coefficients are those of e_1^a e_2^b, a = i1 + i2' and b = i1' + i2 (conj(e_1) = e_2)."""
+    # the bound reads only the degree: the largest first, so an overflow names max_degree
+    closed = [(p, alpha, {d: specialization_bound_n3(TensorSpec(3, (d, 0, 0, 0)), p, alpha)
+                          for d in range(max_degree, -1, -1)}) for p, alpha in pairs]
+    if not closed:
+        return []
+    specs = TensorSpec.up_to_degree(3, max_degree)  # C(d+4, 4) specs, never fewer than the (d+1)(d+2)/2 cells
+    sums, first = {}, {(0, 0, 0): 1}
+    for a in range(max_degree + 1):
+        state = first = _zero_one_step(first, 3, 1) if a else first
+        for b in range(max_degree + 1 - a):
+            state = _zero_one_step(state, 3, 2) if b else state
+            sums[a, b] = [_weighted_part_sum(state, p, alpha) for p, alpha, _ in closed]
+    out = []
+    for j, (p, alpha, bounds) in enumerate(closed):
         rows = []
-        for spec, coeffs in table:
-            exact = _weighted_part_sum(coeffs, p, alpha)
-            bound = bounds[spec.degree]
+        for spec in specs:
+            i1, i1c, i2, i2c = spec.exponents
+            exact, bound = sums[i1 + i2c, i1c + i2][j], bounds[spec.degree]
             rows.append(MultiplicityBoundRow(spec.exponents, exact, bound, exact <= bound))
             if not rows[-1].passed:
                 raise RuntimeError(f"multiplicity bound violated at {spec.exponents}: {exact} > {bound}")

@@ -10,8 +10,8 @@ decomposition: it is the rectangular Kostka number K_{(N^q),mu} of the factor
 sizes mu, a walk of horizontal strips inside the q x N box.  Nor do the bound
 sweep's dominant sums: the coefficient of x^w in a product of factors e_k counts
 the (0,1)-matrices with row sums the factor sizes and column sums w (Macdonald
-I.6), walked over dominant weights one factor at a time, memoised per call and
-not cached.  Numeric character values use the smaller Jacobi-Trudi determinant, in the
+I.6), one memo-free step per factor over dominant weights (``_zero_one_step``),
+which the sweep composes.  Numeric character values use the smaller Jacobi-Trudi determinant, in the
 e_k or in the h_r from them by the h-e duality (finite at coincident eigenvalues, unlike the bialternant ratio).
 """
 
@@ -451,28 +451,11 @@ def _eigenvalue_rows(alphas, n: int) -> np.ndarray:
     return arr
 
 
-def _dominant_coefficients(spec: TensorSpec, memo: dict) -> dict[tuple[int, ...], int]:
-    """c_w, the coefficient of x^w in the product of the factors e_k (k per i_k, N - k per i'_k), keyed by w - w[-1]
-    at each dominant w: the number of (0,1)-matrices with row sums the factor sizes and column sums w (Macdonald I.6).
-    A walk over dominant full weights, sizes sorted: a step of size k maps c to c'(v) = sum_eps c(sort(v - eps)) over
-    the 0/1 vectors eps of weight k, at each v = sort(u + eps).  The caller's memo keeps each size prefix's state and
-    each size tuple's result.  The budget bounds len(state) * C(N, k) summed over all steps, memoised or not, so a
-    degree above it fails before the first step."""
-    n = spec.n
-    if spec.degree > DEFAULT_TERM_BUDGET:
-        raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {DEFAULT_TERM_BUDGET}")
-    sizes = tuple(sorted(_factor_sizes(spec)))
-    state, tried = {(0,) * n: 1}, 0
-    for i, k in enumerate(sizes, 1):
-        tried += len(state) * math.comb(n, k)
-        if tried > DEFAULT_TERM_BUDGET:
-            raise TermBudgetExceeded(f"walk steps with {tried} candidate vectors in total exceed budget {DEFAULT_TERM_BUDGET}")
-        if (n, sizes[:i]) not in memo:
-            eps = [tuple(int(r in rows) for r in range(n)) for rows in itertools.combinations(range(n), k)]
-            targets = {tuple(sorted(map(add, u, e), reverse=True)) for u in state for e in eps}
-            memo[n, sizes[:i]] = {v: sum(state.get(tuple(sorted(map(sub, v, e), reverse=True)), 0) for e in eps)
-                                  for v in targets}
-        state = memo[n, sizes[:i]]
-    if (n, sizes, "canonical") not in memo:  # e_k and conj(e_{N-k}) have the same size, so specs share results
-        memo[n, sizes, "canonical"] = {tuple(c - w[-1] for c in w): m for w, m in state.items()}
-    return memo[n, sizes, "canonical"]
+def _zero_one_step(state: dict, n: int, k: int) -> dict:
+    """state times e_k, on dominant full weights: c'(v) = sum_eps c(sort(v - eps)) over the 0/1 vectors eps of
+    weight k, at each v = sort(u + eps).  From {(0,) * n: 1}, the steps of some factor sizes give c_w, the coefficient
+    of x^w in the product of those e_k: the number of (0,1)-matrices with row sums the sizes and column sums w
+    (Macdonald I.6), whatever the order of the steps."""
+    eps = [tuple(int(r in rows) for r in range(n)) for rows in itertools.combinations(range(n), k)]
+    targets = {tuple(sorted(map(add, u, e), reverse=True)) for u in state for e in eps}
+    return {v: sum(state.get(tuple(sorted(map(sub, v, e), reverse=True)), 0) for e in eps) for v in targets}

@@ -35,11 +35,12 @@ None of these is used by the library itself:
 - ``b_entry``, ``b_matrix`` and ``langlands_matrix`` tabulate the integer
   matrix L with ell = L @ nu from the b_ij values, column by column;
 - ``sample_st``, ``in_T0``, ``in_T1``, ``hecke_check_n3``,
-  ``dominant_part_sum``, ``aleph_inv``, ``orthogonality_error`` and
-  ``h_eval`` are scalar conveniences over library internals (one draw, the
-  tempered and containment regions, one Hecke residual, one weighted
-  dominant sum, the inverse index bijection, the orthogonality envelope,
-  one test-function value) that only the tests read.
+  ``zero_one_coefficients``, ``dominant_part_sum``, ``aleph_inv``,
+  ``orthogonality_error`` and ``h_eval`` are scalar conveniences over
+  library internals (one draw, the tempered and containment regions, one
+  Hecke residual, one spec's dominant coefficients and their weighted sum,
+  the inverse index bijection, the orthogonality envelope, one
+  test-function value) that only the tests read.
 """
 
 import itertools
@@ -54,9 +55,10 @@ from satake_st.characters import (
     TensorSpec,
     TermBudgetExceeded,
     _canon,
-    _dominant_coefficients,
+    _factor_sizes,
     _power,
     _schur,
+    _zero_one_step,
     spec_product_table,
     weight_table,
 )
@@ -511,11 +513,20 @@ def hecke_check_n3(x: SatakeParameter) -> float:
     return float(hecke_residuals_n3(x.as_array()))
 
 
+def zero_one_coefficients(spec: TensorSpec) -> dict:
+    """The product table's c_w at each dominant w, keyed by w - w[-1]: one ``_zero_one_step`` per factor of spec, in
+    exponent order (the sweep steps sizes 1 then 2)."""
+    state = {(0,) * spec.n: 1}
+    for k in _factor_sizes(spec):
+        state = _zero_one_step(state, spec.n, k)
+    return {_canon(w): c for w, c in state.items()}
+
+
 def dominant_part_sum(spec: TensorSpec, p: int, alpha: float) -> float:
     """Sum of product-table coefficients c_w at dominant weights w, weighted p^(alpha*|l|), for p > 1."""
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p!r}")
-    return _weighted_part_sum(_dominant_coefficients(spec, {}), p, alpha)
+    return _weighted_part_sum(zero_one_coefficients(spec), p, alpha)
 
 
 def aleph_inv(mu: DominantWeight) -> CoefficientIndex:

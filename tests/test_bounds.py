@@ -16,7 +16,7 @@ from satake_st.bounds import (
     verify_multiplicity_bound,
     verify_multiplicity_bounds,
 )
-from satake_st.characters import TensorSpec
+from satake_st.characters import TensorSpec, TermBudgetExceeded, _zero_one_step
 
 from oracles import dominant_part_sum, orthogonality_error
 
@@ -114,7 +114,7 @@ class TestMultiplicityBound:
 
 
 class TestMultiplicityBounds:
-    """The multi-pair sweep builds each spec's coefficients once; its rows must not move by a bit."""
+    """The multi-pair sweep walks the (a, b) grid once; its rows must not move by a bit."""
 
     PAIRS = [(p, alpha) for p in (2, 3, 5) for alpha in (0.109375, 0.5, 1.6666666667)]
 
@@ -161,6 +161,24 @@ class TestMultiplicityBounds:
         monkeypatch.setattr(bounds, "specialization_bound_n3", counted)
         verify_multiplicity_bounds(self.PAIRS, 4)
         assert degrees == [4, 3, 2, 1, 0] * len(self.PAIRS)
+
+    def test_one_walk_step_per_cell_and_none_before_the_spec_limit(self, monkeypatch):
+        steps = []
+
+        def counted(state, n, k):
+            steps.append(k)
+            return _zero_one_step(state, n, k)
+
+        monkeypatch.setattr(bounds, "_zero_one_step", counted)
+        verify_multiplicity_bounds(self.PAIRS, 4)
+        # 15 cells of a + b <= 4: every column start but (0, 0) is a size-1 step, every other cell a size-2 one
+        assert sorted(steps) == [1] * 4 + [2] * 10
+        steps.clear()
+        assert verify_multiplicity_bounds([], 4) == []
+        # C(72, 4) specs at degree 68: the limit of 10^6 allows degree 67 at most
+        with pytest.raises(TermBudgetExceeded, match="^1028790 specs of rank 3 and degree <= 68 exceed budget 1000000$"):
+            verify_multiplicity_bound(2, 0.5, 68)
+        assert steps == []
 
     def test_the_largest_finite_closed_bound_still_verifies(self):
         (rows,) = verify_multiplicity_bounds([(2, -255.0)], 4)

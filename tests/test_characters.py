@@ -8,7 +8,6 @@ and numeric values from the bialternant ratio.
 import cmath
 import itertools
 import math
-import random
 import re
 
 import numpy as np
@@ -16,12 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from satake_st.bounds import specialization_bound_n3
+from satake_st.bounds import specialization_bound_n3, verify_multiplicity_bound
 from satake_st.characters import (
     DEFAULT_TERM_BUDGET,
     TensorSpec,
     TermBudgetExceeded,
-    _dominant_coefficients,
     _schur,
     _strip_table,
     dim,
@@ -43,6 +41,7 @@ from oracles import (
     monomial_by_complex_power,
     strip_by_strip_pieri,
     strip_table_by_combinations,
+    zero_one_coefficients,
 )
 
 
@@ -149,15 +148,7 @@ class TestWeightTable:
         for spec in TensorSpec.up_to_degree(n, d):
             table = spec_table_oracle(spec)
             expected = {w: c for w, c in table.items() if all(a >= b for a, b in zip(w, w[1:]))}
-            assert _dominant_coefficients(spec, {}) == expected, spec.exponents
-
-    def test_a_shared_memo_gives_the_tables_of_fresh_ones(self):
-        # specs in any order share size prefixes, e_k and conj(e_{N-k}) share sizes, and two ranks share both
-        specs = TensorSpec.up_to_degree(4, 4) + TensorSpec.up_to_degree(3, 4)
-        random.Random(0).shuffle(specs)
-        memo = {}
-        for spec in specs:
-            assert _dominant_coefficients(spec, memo) == _dominant_coefficients(spec, {}), spec.exponents
+            assert zero_one_coefficients(spec) == expected, spec.exponents
 
 
 class TestDim:
@@ -765,8 +756,9 @@ class TestDominantPartSum:
                 assert dominant_part_sum(spec, p, alpha) == expected, (spec, p, alpha)
 
     def test_degree_above_budget_fails_at_once(self):
-        with pytest.raises(TermBudgetExceeded):
-            dominant_part_sum(TensorSpec(3, (10**6 + 1, 0, 0, 0)), 2, 0.5)
+        # the closed bound at the largest degree comes first, and it overflows
+        with pytest.raises(ValueError, match=re.escape("overflows a float at p=2, alpha=0.5, d=1000001")):
+            verify_multiplicity_bound(2, 0.5, 10**6 + 1)
 
 
 class TestSpecializationBound:
