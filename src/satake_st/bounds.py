@@ -3,7 +3,10 @@ multiplicity-sum inequality behind the rate of convergence.
 
 Envelope values carry an implied constant of 1: they report shapes, not
 certified inequalities.  The multiplicity bound is exact arithmetic and
-is asserted.  The closed forms (P, the envelope, the closed bound) share
+is asserted: a spec's exact sum depends only on its counts (a, b) of
+size-1 and size-2 factors, so the sweep walks that grid once per call,
+one ``characters._zero_one_step`` per cell, under the spec-count limit
+alone.  The closed forms (P, the envelope, the closed bound) share
 ``_normal``'s float-range rule, which the envelope leaves above T ~ 1e61.
 
 This module reads only the exact algebra (``characters``, ``weights``).
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import TensorSpec, _zero_one_step
-from .weights import _check_finite, _check_prime, _check_scale
+from .weights import _check_finite, _check_int, _check_prime, _check_scale
 
 __all__ = [
     "Gl3BoundParams",
@@ -118,6 +121,7 @@ def verify_multiplicity_bounds(pairs, max_degree: int) -> list[list[Multiplicity
     """One ``verify_multiplicity_bound`` row list per (p, alpha): every pair's closed bounds, then the spec list and
     its limit (the sweep's one budget), then one walk over the (a, b) grid, each cell's sum taken once per pair.  A
     spec's dominant coefficients are those of e_1^a e_2^b, a = i1 + i2' and b = i1' + i2 (conj(e_1) = e_2)."""
+    _check_int(max_degree, "max_degree")
     # the bound reads only the degree: the largest first, so an overflow names max_degree
     closed = [(p, alpha, {d: specialization_bound_n3(TensorSpec(3, (d, 0, 0, 0)), p, alpha)
                           for d in range(max_degree, -1, -1)}) for p, alpha in pairs]

@@ -24,7 +24,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .weights import DominantWeight, _check_budget, _check_rank, _exact, _store, _unchecked
+from .weights import DominantWeight, _check_int, _check_rank, _exact, _store, _unchecked
 
 __all__ = [
     "CharacterTable",
@@ -93,10 +93,10 @@ class TensorSpec:
 
     @classmethod
     def up_to_degree(cls, n: int, d: int) -> list[TensorSpec]:
-        """Every spec of rank n and degree <= d, exponent tuples in lexicographic order;
-        more than DEFAULT_TERM_BUDGET of them raise TermBudgetExceeded before any is listed."""
+        """Every spec of rank n and degree <= d (a Python int; none if d < 0), exponent tuples in lexicographic
+        order; more than DEFAULT_TERM_BUDGET of them raise TermBudgetExceeded before any is listed."""
         k = 2 * (_check_rank(n) - 1)
-        count = math.comb(d + k, k) if d >= 0 else 0
+        count = math.comb(d + k, k) if _check_int(d, "d", None) >= 0 else 0
         if count > DEFAULT_TERM_BUDGET:
             raise TermBudgetExceeded(f"{count} specs of rank {n} and degree <= {d} exceed budget {DEFAULT_TERM_BUDGET}")
         rows = [()]
@@ -213,7 +213,7 @@ def weight_table(mu: DominantWeight, budget: int = DEFAULT_TERM_BUDGET) -> Chara
     entries w by the branching rule, keyed by w - w[-1] and each spread over its distinct
     permutations; a new table per call.  Asserts that the mass, sum_w K_{mu,w} |W.w|, is dim(mu)."""
     est = dim(mu)
-    if est > _check_budget(budget):
+    if est > _check_int(budget, "budget"):
         raise TermBudgetExceeded(f"weight table of {mu.parts} has {est} weights (budget {budget})")
     terms = {}
     for w, m in _dominant_table(mu.parts, {}).items():
@@ -231,7 +231,7 @@ def product(
     """Convolution of weight multiplicity maps (product of characters)."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} != {b.n}")
-    if len(a.terms) * len(b.terms) > 64 * _check_budget(budget):
+    if len(a.terms) * len(b.terms) > 64 * _check_int(budget, "budget"):
         raise TermBudgetExceeded(
             f"product of {len(a.terms)} x {len(b.terms)} terms exceeds budget {budget}"
         )
@@ -273,7 +273,7 @@ def tensor_decompose(
     in 0, unchecked.
     """
     n = spec.n
-    if spec.degree > _check_budget(budget):
+    if spec.degree > _check_int(budget, "budget"):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
     w = 8 * (spec.degree.bit_length() // 8 + 1)  # the fewest whole bytes with parts <= degree < 2^(w-1)
     ones = (1 << w * n) // ((1 << w) - 1)  # a 1 in every field
@@ -325,7 +325,7 @@ def trivial_multiplicity(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
     multiplicities), largest strip first, for the spec or its conjugate (sizes N - k), whichever has the smaller q.
     The budget bounds the strips tried, summed over all steps; a degree above it fails before any is tried."""
     n = spec.n
-    if spec.degree > _check_budget(budget):
+    if spec.degree > _check_int(budget, "budget"):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
     sizes = _factor_sizes(spec)
     q, rest = divmod(sum(sizes), n)

@@ -205,7 +205,7 @@ def equidist(n, p_text, family_path, synth_size, synth_mode, max_degree, t_grid,
     if (family_path is None) == (synth_size == 0):
         raise ValueError("give exactly one of --family or --synth-size")
     specs = TensorSpec.up_to_degree(n, max_degree)  # checks the rank before a family is read or drawn
-    ts = _parse_list(t_grid, float)
+    ts = _parse_list(t_grid, float, "scales")
     envelopes = [""] * (len(specs) * len(ts))  # one per report row, spec by spec
     if n == 3:  # the rate envelope, as bound --rate prints it; it reads p, the specs and the grid, not the family
         envelopes = [r.envelope for s in specs for r in rate_report(Gl3BoundParams(p, s.exponents), ts)]
@@ -270,7 +270,7 @@ def bound(ctx, mode, p_text, alpha_text, max_degree, spec_text, t_grid, theta, e
         p = _parse_prime(p_text, "bound --rate")
         exps = tuple(_parse_list(spec_text, int))
         params = Gl3BoundParams(p=p, exponents=exps, theta=theta, eps=eps)
-        rows = [{"T": r.t, "envelope": r.envelope} for r in rate_report(params, _parse_list(t_grid, float))]
+        rows = [{"T": r.t, "envelope": r.envelope} for r in rate_report(params, _parse_list(t_grid, float, "scales"))]
         fields = ["T", "envelope"]
     _emit(rows, fields, out, fmt)
 

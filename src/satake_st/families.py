@@ -36,7 +36,7 @@ from .characters import TensorSpec, _schur, trivial_multiplicity
 from .satake import SatakeParameter, canonicalize_batch, elementary_symmetric
 from .sampling import RngSeed, _canonical_roots, _haar_su_varrho, perturb_radial
 from .weights import (
-    CoefficientIndex, SpectralParameter, _check_prime, _check_scale, _is_prime, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues,
+    CoefficientIndex, SpectralParameter, _check_int, _check_prime, _check_scale, _is_prime, _unchecked, aleph, laplace_eigenvalue, laplace_eigenvalues,
 )
 
 __all__ = [
@@ -325,8 +325,7 @@ def synth_family(
     Each prime, listed once, draws its e-rows from one stream, so the canonical
     roots are those of ``sample_st_batch`` on the same generator.
     """
-    if m < 1:
-        raise ValueError("family size must be >= 1")
+    _check_int(m, "m", 1)
     if mode not in ("sato-tate", "t1-perturbed"):
         raise ValueError(f"unknown synthesis mode {mode!r}")
     _check_header(n)

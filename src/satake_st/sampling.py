@@ -25,7 +25,7 @@ import numpy as np
 
 from .satake import canonicalize_batch, elementary_symmetric
 from .characters import TensorSpec
-from .weights import _check_prime, _check_rank
+from .weights import _check_int, _check_prime, _check_rank
 
 __all__ = [
     "RngSeed",
@@ -44,10 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Seed plus stream index; each (seed, stream) pair spawns its own independent generator."""
+    """Seed plus stream index, Python ints >= 0; each (seed, stream) pair spawns its own independent generator."""
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        _check_int(self.seed, "seed")
+        _check_int(self.stream, "stream")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -120,8 +124,8 @@ def _canonical_roots(e: np.ndarray) -> np.ndarray:
 
 
 def sample_st_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, n) array of canonicalized Satake parameters drawn Haar-SU(n)."""
-    return _canonical_roots(_haar_su_varrho(n, count, rng))
+    """(count, n) array of canonicalized Satake parameters drawn Haar-SU(n); count is a Python int >= 0."""
+    return _canonical_roots(_haar_su_varrho(n, _check_int(count, "count"), rng))
 
 
 def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,11 +143,9 @@ def perturb_radial(bank: np.ndarray, p: int, rng: np.random.Generator) -> np.nda
 
 
 def varrho_bank(n: int, m: int, seed: int) -> np.ndarray:
-    """Read-only column-major (m, n-1) bank of rows e_1..e_{n-1} drawn from RngSeed(seed);
+    """Read-only column-major (m, n-1) bank of rows e_1..e_{n-1} drawn from RngSeed(seed), for a Python int m >= 1;
     memoized, since the draw is a pure function of (n, m, seed)."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    return _varrho_bank(n, m, seed)
+    return _varrho_bank(n, _check_int(m, "m", 1), seed)
 
 
 @lru_cache(maxsize=8)
@@ -165,11 +167,11 @@ def mc_integrate(f, n: int, m: int, seed: int) -> McEstimate:
 
     f is applied to the read-only column-major (m, n-1) bank ``varrho_bank(n, m, seed)``
     of rows (e_1, ..., e_{n-1}), the varrho coordinates of the draws, not to eigenvalues
-    (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``; m >= 2.
+    (``sample_bank`` holds those), and must return a length-m array, e.g. ``char_monomial(spec)``; m is a Python
+    int >= 2.
     The estimate's bits are a function of (f, n, m, seed); a row's monomial out of its bank need not keep its bits.
     """
-    if m < 2:
-        raise ValueError("need at least 2 samples")
+    _check_int(m, "m", 2)
     vals = np.asarray(f(varrho_bank(n, m, seed)), dtype=np.complex128)
     if vals.shape != (m,):
         raise ValueError(f"integrand returned shape {vals.shape}, expected ({m},)")

@@ -76,11 +76,13 @@ def _check_finite(x: float, name: str) -> float:
     return x
 
 
-def _check_budget(budget: int) -> int:
-    """The term budget, once checked to be a non-negative Python int (not a bool); NaN or inf would lift the limit."""
-    if type(budget) is not int or budget < 0:
-        raise ValueError(f"budget must be a non-negative Python integer, got {budget!r}")
-    return budget
+def _check_int(value: int, name: str, least: int | None = 0) -> int:
+    """The count or limit value, once checked to be a Python int (not a bool) >= least, if least is not None; 2.0
+    fails, and so do NaN and inf, which would lift a limit.  The message names the argument."""
+    if type(value) is not int or least is not None and value < least:
+        at_least = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be a Python integer{at_least}, got {value!r}")
+    return value
 
 
 def _exact(raw: tuple, kind: type) -> tuple | None:
@@ -209,8 +211,12 @@ def langlands(nu: SpectralParameter) -> np.ndarray:
 
 def laplace_eigenvalues(n: int, nu_rows) -> np.ndarray:
     """(N^3 - N)/24 - (1/2) sum ell_i^2 for each row of an (m, N-1) array of nu,
-    with ell_i = sum_{j>=i} (N-j) nu_j - sum_{j<i} j nu_j as in langlands."""
-    ell = _ell(n, nu_rows)
+    with ell_i = sum_{j>=i} (N-j) nu_j - sum_{j<i} j nu_j as in langlands; [] is no rows, and rows of other
+    than N-1 entries raise."""
+    nu = np.asarray(nu_rows, dtype=np.complex128)
+    if nu.shape[-1:] != (_check_rank(n) - 1,) and nu.shape != (0,):
+        raise ValueError(f"expected nu rows of width {n - 1}, got shape {nu.shape}")
+    ell = _ell(n, nu)
     return (n**3 - n) / 24 - 0.5 * np.sum(ell * ell, axis=-1)
 
 

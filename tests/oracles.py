@@ -10,6 +10,7 @@ None of these is used by the library itself:
 - ``strip_by_strip_pieri`` decomposes a tensor product by the iterated
   Pieri rule, building every candidate strip as a tuple and testing the sum
   for dominance (the library's loop before its strip tables and tie masks);
+  ``strip_by_strip_pieri_total`` also reports its total of candidate strips;
 - ``strip_table_by_combinations`` builds the library's table of vertical
   strips from one 0/1 list per combination of rows, as a row mask and a
   tuple (its form before packed fields; tests decode the packed table);
@@ -81,7 +82,7 @@ from satake_st.weights import (
     CoefficientIndex,
     DominantWeight,
     SpectralParameter,
-    _check_budget,
+    _check_int,
     _check_prime,
     _check_rank,
     aleph,
@@ -209,14 +210,19 @@ def peel_decompose(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
 
 
 def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> dict:
-    """Multiplicities a_mu by the iterated Pieri rule, one candidate strip at a time.
+    """Multiplicities a_mu by the iterated Pieri rule, one candidate strip at a time."""
+    return strip_by_strip_pieri_total(spec, budget)[0]
+
+
+def strip_by_strip_pieri_total(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) -> tuple[dict, int]:
+    """``strip_by_strip_pieri``'s multiplicities and its total of candidate strips, the least budget it succeeds at.
 
     Same budget contract as ``tensor_decompose``: the budget checked to be a
     non-negative int, then the degree, then sum of len(current) * C(N, k) over
-    the steps.
+    the steps (at least twice the degree, as every step tries two strips or more).
     """
     n = spec.n
-    if spec.degree > _check_budget(budget):
+    if spec.degree > _check_int(budget, "budget"):
         raise TermBudgetExceeded(f"degree {spec.degree} exceeds budget {budget}")
     tried = 0
     current = {(0,) * n: 1}
@@ -240,7 +246,7 @@ def strip_by_strip_pieri(spec: TensorSpec, budget: int = DEFAULT_TERM_BUDGET) ->
                         nu = tuple(x - 1 for x in nu)
                     out[nu] = out.get(nu, 0) + c
         current = out
-    return {DominantWeight(n, lam): c for lam, c in current.items()}
+    return {DominantWeight(n, lam): c for lam, c in current.items()}, tried
 
 
 def strip_table_by_combinations(n: int, k: int) -> list:

@@ -510,7 +510,7 @@ class TestFailureContract:
         assert result.exit_code == 2
         assert result.stdout == ""
         err = json.loads(result.stderr)["error"]
-        assert err == {"type": "ValueError", "message": f"sample count must be >= 1, got {m}"}
+        assert err == {"type": "ValueError", "message": f"m must be a Python integer >= 1, got {m}"}
 
 
 def assert_json_error(result, code=2):
@@ -546,6 +546,11 @@ class TestErrorBoundary:
             # the rule reads the parsed floats, not the text
             (["bound", "--verify", "--p", "2", "--alpha", "0.5,0.50", "--max-degree", "0"],
              "alphas must be distinct: 0.5 is repeated in '0.5,0.50'"),
+            # a repeated scale would print each of its rows twice
+            (["equidist", "--n", "3", "--synth-size", "10", "--t-grid", "10,10"],
+             "scales must be distinct: 10.0 is repeated in '10,10'"),
+            (["bound", "--rate", "--p", "2", "--t-grid", "10,100,10.0"],
+             "scales must be distinct: 10.0 is repeated in '10,100,10.0'"),
             (["equidist", "--n", "3", "--synth-size", "10", "--max-degree", "-1"], "--max-degree"),
             (["bound", "--verify", "--max-degree", "-1"], "--max-degree"),
             # p^|alpha| beyond the float range: the closed bound at the largest degree overflows
@@ -563,7 +568,7 @@ class TestErrorBoundary:
             "nan-alpha", "overflowing-envelope", "degree-above-budget", "infinite-eps",
             "sample-size", "equidist-size", "equidist-max-degree", "verify-max-degree",
             "spec-empty-item", "empty-t-grid", "empty-alpha", "repeated-alpha", "repeated-alpha-after-parsing",
-            "negative-max-degree-equidist", "negative-max-degree-bound",
+            "repeated-scale-equidist", "repeated-scale-rate", "negative-max-degree-equidist", "negative-max-degree-bound",
             "verify-alpha-300", "verify-alpha-minus-300", "verify-alpha-1e308", "verify-alpha-minus-1e308",
         ],
     )

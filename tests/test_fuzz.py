@@ -29,7 +29,9 @@ from satake_st.families import (
     Family, FamilyMember, FamilyValidationError, TestFunctionH, equidist_report, family_from_dict, family_to_dict,
     l_functional, save_family, synth_family,
 )
-from satake_st.sampling import char_monomial, perturb_radial, plancherel_density_gl2, sample_st_batch
+from satake_st.sampling import (
+    RngSeed, char_monomial, mc_integrate, perturb_radial, plancherel_density_gl2, sample_st_batch, varrho_bank,
+)
 from satake_st.satake import canonicalize, canonicalize_batch, coefficient
 from satake_st.weights import CoefficientIndex, DominantWeight, SpectralParameter
 
@@ -291,6 +293,18 @@ OUT_OF_DOMAIN = {
     "trivial_multiplicity at budget nan": lambda: trivial_multiplicity(SPEC_BIG, math.nan),
     "weight_table at budget nan": lambda: weight_table(DominantWeight(3, (40, 20, 0)), math.nan),
     "product at budget nan": lambda: product(*[weight_table(DominantWeight(3, (1, 0, 0)))] * 2, math.nan),
+    # a count or limit is a Python int: a float raised TypeError, and True was read as 1
+    "mc_integrate at m=2.5": lambda: mc_integrate(char_monomial(SPEC_N3), 3, 2.5, 0),
+    "varrho_bank at m=True": lambda: varrho_bank(3, True, 0),
+    "synth_family at m=2.5": lambda: synth_family(3, 2.5),
+    "synth_family at seed=1.5": lambda: synth_family(3, 4, seed=1.5),
+    "sample_st_batch at count=2.0": lambda: sample_st_batch(3, 2.0, np.random.default_rng(0)),
+    "RngSeed at seed=-1": lambda: RngSeed(-1),
+    "RngSeed at stream=True": lambda: RngSeed(0, True),
+    "multiplicity bound at max_degree=2.0": lambda: verify_multiplicity_bound(2, 0.5, 2.0),
+    "multiplicity bound at max_degree=True": lambda: verify_multiplicity_bound(2, 0.5, True),
+    "up_to_degree at d=2.5": lambda: TensorSpec.up_to_degree(3, 2.5),
+    "up_to_degree at d=True": lambda: TensorSpec.up_to_degree(3, True),
 }
 
 

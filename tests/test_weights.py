@@ -1,6 +1,7 @@
 """Weight lattice, index bijection, and spectral-parameter formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ class TestLaplaceRows:
 
     def test_no_rows(self):
         assert laplace_eigenvalues(3, []).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            # four entries read as two rows of two, and (1, [[]]) failed in numpy's reshape
+            (3, [[1, 2, 3, 4]], "expected nu rows of width 2, got shape (1, 4)"),
+            (3, [[]], "expected nu rows of width 2, got shape (1, 0)"),
+            (2, [1, 2, 3], "expected nu rows of width 1, got shape (3,)"),
+            (3, 1.0, "expected nu rows of width 2, got shape ()"),
+            (1, [[]], "rank parameter must be an integer >= 2, got 1"),
+        ],
+        ids=["wide", "empty-row", "flat", "scalar", "rank-1"],
+    )
+    def test_rows_of_another_width_raise(self, n, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            laplace_eigenvalues(n, rows)
 
 
 class TestDominance:
